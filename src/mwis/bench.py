@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .formats import ParseError, assign_weights_family_a, assign_weights_family_b, parse_edgelist, parse_metis
+from .formats import ParseError, load_graph
 from .graph import Graph
 from .solver import SolverConfig, solve
 
@@ -130,19 +130,6 @@ class BenchRow:
     error: str | None = None
 
 
-def load_instance_graph(spec: InstanceSpec) -> Graph:
-    text = Path(spec.path).read_text()
-    if spec.fmt == "metis":
-        g, ids = parse_metis(text)
-    else:
-        g, ids = parse_edgelist(text)
-    if spec.weight_mode == "family-a":
-        g = assign_weights_family_a(g, ids)
-    elif spec.weight_mode == "family-b":
-        g = assign_weights_family_b(g, spec.weight_seed)
-    return g
-
-
 def _run_seed(spec: InstanceSpec, g: Graph, seed: int) -> tuple[SeedRun, int, int]:
     cfg = SolverConfig(
         time_limit=spec.time_limit,
@@ -161,7 +148,7 @@ def _run_seed(spec: InstanceSpec, g: Graph, seed: int) -> tuple[SeedRun, int, in
 
 def _pool_job(args: tuple) -> tuple[int, int, SeedRun, int, int]:
     spec_index, seed_index, spec = args
-    g = load_instance_graph(spec)
+    g, _ = load_graph(spec.path, spec.fmt, spec.weight_mode, spec.weight_seed)
     run, kn, km = _run_seed(spec, g, spec.seeds[seed_index])
     return spec_index, seed_index, run, kn, km
 
@@ -178,7 +165,7 @@ def run_benchmark(specs: list[InstanceSpec], out, workers: int = 1) -> list[Benc
         row = BenchRow(instance=spec.name)
         rows.append(row)
         try:
-            g = load_instance_graph(spec)
+            g, _ = load_graph(spec.path, spec.fmt, spec.weight_mode, spec.weight_seed)
         except (OSError, ParseError, ValueError) as exc:
             log.warning("instance %s unreadable: %s", spec.name, exc)
             row.error = str(exc)

@@ -23,8 +23,7 @@ from .bench import (
     run_benchmark,
     summarize,
 )
-from .formats import ParseError, assign_weights_family_a, assign_weights_family_b, parse_edgelist, parse_metis
-from .graph import Graph
+from .formats import ParseError, load_graph
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_mwis
 from .solver import SolverConfig, solve
 
@@ -33,20 +32,6 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 
 log = logging.getLogger(__name__)
-
-
-def _load_graph(path: str, fmt: str, weights: str) -> tuple[Graph, list[int]]:
-    text = Path(path).read_text()
-    if fmt == "metis":
-        g, ids = parse_metis(text)
-    else:
-        g, ids = parse_edgelist(text)
-    mode, seed = parse_weight_mode(weights)
-    if mode == "family-a":
-        g = assign_weights_family_a(g, ids)
-    elif mode == "family-b":
-        g = assign_weights_family_b(g, seed)
-    return g, ids
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -88,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    g, ids = _load_graph(args.file, args.format, args.weights)
+    g, ids = load_graph(args.file, args.format, *parse_weight_mode(args.weights))
     cfg = SolverConfig(
         time_limit=args.time_limit,
         seed=args.seed,
@@ -137,7 +122,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    g, ids = _load_graph(args.file, args.format, args.weights)
+    g, ids = load_graph(args.file, args.format, *parse_weight_mode(args.weights))
     if g.n > BRUTE_FORCE_LIMIT:
         raise ConfigError(f"exact solve handles at most {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
     best, weight = brute_force_mwis(g)

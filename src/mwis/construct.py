@@ -90,23 +90,31 @@ def greedy_construction(g: Graph) -> VertexSet:
 def reduction_construction(g: Graph) -> VertexSet:
     """Maximal independent set for sparse graphs: exhaust the cheap reduction
     rules, and when they stall, permanently take the vertex with the best
-    weight advantage over its neighborhood."""
+    weight advantage over its neighborhood (ties go to the smallest id).
+
+    The best vertex comes from a lazily invalidated heap keyed by
+    (nbw - weight, id). Only the rules 0-2 run here, so the fold rule's dirty
+    set is never drained: it collects exactly the vertices whose weight or
+    neighborhood weight changed, and those are re-keyed before each pick.
+    """
     red = _Reducer(g)
     cheap_rules = (0, 1, 2)  # isolated, degree-one, neighborhood
+    changed = red._dirty[4]  # starts as every vertex
+    weight, nbw, alive = red.weight, red.nbw, red.alive
+    heap: list[tuple[int, int]] = []
     while red.alive_count > 0:
         red.run_rules(cheap_rules, deadline=None, verify=False)
         if red.alive_count == 0:
             break
-        best_v = -1
-        best_gap = None
-        for v in range(len(red.alive)):
-            if not red.alive[v]:
-                continue
-            gap = red.weight[v] - red.nbw[v]
-            if best_gap is None or gap > best_gap:
-                best_gap = gap
-                best_v = v
-        red.take(best_v)
+        for v in changed:
+            if alive[v]:
+                heapq.heappush(heap, (nbw[v] - weight[v], v))
+        changed.clear()
+        while True:
+            key, v = heapq.heappop(heap)
+            if alive[v] and key == nbw[v] - weight[v]:
+                break
+        red.take(v)
     return resolve_trace(red.trace, set(), g.n)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left
+from pathlib import Path
 
 from .graph import Graph, build_graph, replace_weights
 
@@ -22,7 +24,14 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
 
     Header is "n m [fmt]" with fmt 0 (unweighted; weights default to 1) or
     10 (leading vertex weight per line). '%' lines are comments. Neighbor
-    lists are 1-based and must be symmetric.
+    lists are 1-based and must be symmetric; a neighbor repeated within one
+    line counts once.
+
+    One pass builds the final adjacency by transposition: vertex v is appended
+    to the list of every neighbor it names, so each list comes out sorted.
+    Row v's neighbors below v must then equal the list built so far for v,
+    which holds exactly the earlier rows that named v; every row matching is
+    the same as the input being symmetric.
     """
     lines = text.splitlines()
     header: list[str] | None = None
@@ -59,11 +68,13 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
         raise ParseError(f"expected {n} vertex lines, found {len(rows)}")
 
     weights = [1] * n
-    adjacency: list[list[int]] = []
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    one_based = (1).__add__
+    entries = 0
+    asymmetric: list[tuple[int, int]] = []  # (v, u): v names u, u does not name v
     for v, (lineno, row) in enumerate(rows):
-        tokens = row.split()
         try:
-            values = [int(t) for t in tokens]
+            values = list(map(int, row.split()))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-integer token") from exc
         if fmt == 10:
@@ -72,30 +83,47 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
             if values[0] < 1:
                 raise ParseError(f"line {lineno}: vertex weight must be positive")
             weights[v] = values[0]
-            values = values[1:]
-        nbs = []
-        for u in values:
-            if not 1 <= u <= n:
-                raise ParseError(f"line {lineno}: neighbor {u} out of range 1..{n}")
-            if u == v + 1:
-                raise ParseError(f"line {lineno}: self-loop on vertex {u}")
-            nbs.append(u - 1)
-        adjacency.append(nbs)
-
-    neighbor_sets = [set(a) for a in adjacency]
-    edges: list[tuple[int, int]] = []
-    for v, nbs in enumerate(neighbor_sets):
+            del values[0]
+        nbs = sorted(set(values))
+        k = bisect_left(nbs, v + 1)
+        if nbs and (nbs[0] < 1 or nbs[-1] > n or (k < len(nbs) and nbs[k] == v + 1)):
+            _reject_neighbor(values, v, n, lineno)
+        below = nbs[:k]
+        if below != list(map(one_based, adjacency[v])):
+            asymmetric.append(_first_asymmetry(below, adjacency[v], v))
         for u in nbs:
-            if v not in neighbor_sets[u]:
-                raise ParseError(
-                    f"line {rows[v][0]}: vertex {u + 1} missing reciprocal neighbor {v + 1}"
-                )
-            if v < u:
-                edges.append((v, u))
-    if len(edges) != m:
-        raise ParseError(f"header claims {m} edges, adjacency lists encode {len(edges)}")
+            adjacency[u - 1].append(v)
+        entries += len(nbs)
 
-    return build_graph(n, edges, weights), list(range(1, n + 1))
+    if asymmetric:
+        v, u = min(asymmetric)
+        raise ParseError(f"line {rows[v][0]}: vertex {u + 1} missing reciprocal neighbor {v + 1}")
+    if entries // 2 != m:
+        raise ParseError(f"header claims {m} edges, adjacency lists encode {entries // 2}")
+
+    return Graph(n, adjacency, weights, m), list(range(1, n + 1))
+
+
+def _reject_neighbor(values: list[int], v: int, n: int, lineno: int) -> None:
+    """Raise for the first neighbor id on vertex v's line that is out of range
+    or v itself."""
+    for u in values:
+        if not 1 <= u <= n:
+            raise ParseError(f"line {lineno}: neighbor {u} out of range 1..{n}")
+        if u == v + 1:
+            raise ParseError(f"line {lineno}: self-loop on vertex {u}")
+
+
+def _first_asymmetry(below: list[int], earlier: list[int], v: int) -> tuple[int, int]:
+    """Smallest (x, y) such that x names y but y does not name x, among the
+    pairs of v with a smaller vertex. `below` holds v's 1-based neighbors
+    under v; `earlier` the 0-based earlier vertices that named v."""
+    named = {u - 1 for u in below}
+    unreturned = [x for x in earlier if x not in named]
+    if unreturned:
+        return unreturned[0], v
+    named_back = set(earlier)
+    return v, min(u for u in named if u not in named_back)
 
 
 def parse_edgelist(text: str) -> tuple[Graph, list[int]]:
@@ -138,6 +166,21 @@ def parse_edgelist(text: str) -> tuple[Graph, list[int]]:
 
     n = len(ids)
     return build_graph(n, edges, [1] * n), ids
+
+
+def load_graph(
+    path: str, fmt: str = "metis", weight_mode: str = "file", weight_seed: int | None = None
+) -> tuple[Graph, list[int]]:
+    """Read and parse a graph file ("metis" or "edgelist"), then apply the
+    weight mode: "file" keeps the parsed weights, "family-a" keys them to the
+    original ids, "family-b" draws them from `weight_seed`."""
+    text = Path(path).read_text()
+    g, ids = parse_metis(text) if fmt == "metis" else parse_edgelist(text)
+    if weight_mode == "family-a":
+        g = assign_weights_family_a(g, ids)
+    elif weight_mode == "family-b":
+        g = assign_weights_family_b(g, weight_seed)
+    return g, ids
 
 
 def to_metis(g: Graph) -> str:

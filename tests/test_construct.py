@@ -9,7 +9,17 @@ from mwis import (
     reduction_construction,
 )
 
-from util import c4_3131, cycle_graph, edgeless_graph, p3_151, path_graph, random_graph, star_graph
+from util import (
+    c4_3131,
+    cycle_graph,
+    edgeless_graph,
+    p3_151,
+    path_graph,
+    random_gnm_graph,
+    random_graph,
+    reference_reduction_construction,
+    star_graph,
+)
 
 
 class TestDensityRadius:
@@ -93,6 +103,18 @@ class TestReductionConstruction:
             for v in range(g.n):
                 if v not in members:
                     assert any(u in members for u in g.adjacency[v])
+
+    def test_matches_quadratic_reference(self):
+        # Unit weights and weights in 1..3 make many gaps tie, so the
+        # smallest-id tie-break is exercised as well as the heap order.
+        rng = random.Random(23)
+        for max_weight in (1, 3, 200):
+            for _ in range(100):
+                g = random_graph(rng, rng.randint(1, 60), rng.choice([0.03, 0.08, 0.15, 0.3]), max_weight)
+                assert reduction_construction(g) == reference_reduction_construction(g)
+            for _ in range(3):
+                g = random_gnm_graph(rng, 600, 1800, max_weight)
+                assert reduction_construction(g) == reference_reduction_construction(g)
 
 
 class TestBuildInitialSolution:

@@ -12,7 +12,7 @@ from mwis import (
     to_metis,
 )
 
-from util import random_graph
+from util import random_gnm_graph, random_graph
 
 
 class TestParseMetis:
@@ -72,6 +72,37 @@ class TestParseMetis:
         with pytest.raises(ParseError, match="weight"):
             parse_metis("1 0 10\n\n")
 
+    def test_zero_weight_rejected(self):
+        with pytest.raises(ParseError, match="line 3: vertex weight must be positive"):
+            parse_metis("2 1 10\n1 2\n0 1\n")
+
+    def test_neighbor_zero_rejected(self):
+        with pytest.raises(ParseError, match="line 2: neighbor 0 out of range 1..2"):
+            parse_metis("2 1 0\n0 2\n1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Vertex 1 names 3; vertex 3 (line 4) leaves it out.
+            ("3 2 0\n2 3\n1\n\n", "line 2: vertex 3 missing reciprocal neighbor 1"),
+            # Vertex 3 names 1; vertex 1 (line 2) leaves it out.
+            ("3 2 0\n2\n1\n1\n", "line 4: vertex 1 missing reciprocal neighbor 3"),
+            # Both directions broken: the smallest naming vertex is reported.
+            ("4 2 0\n\n3\n\n1\n", "line 3: vertex 3 missing reciprocal neighbor 2"),
+        ],
+    )
+    def test_missing_reciprocal_reports_naming_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_metis(text)
+
+    def test_repeated_neighbor_collapses(self):
+        g, _ = parse_metis("3 2 10\n4 2 2\n5 1 3 1\n6 2\n")
+        assert g.m == 2
+        assert g.adjacency == [[1], [0, 2], [1]]
+        assert g.weights == [4, 5, 6]
+        with pytest.raises(ParseError, match="header claims 3 edges, adjacency lists encode 2"):
+            parse_metis("3 3 0\n2 2\n1 3 1\n2\n")
+
 
 class TestParseEdgelist:
     def test_path_shape(self):
@@ -114,6 +145,15 @@ class TestRoundTrip:
             assert h.n == g.n and h.m == g.m
             assert h.adjacency == g.adjacency
             assert h.weights == g.weights
+
+    def test_round_trip_beyond_small_int_cache(self):
+        # Ids above 256 are distinct int objects in CPython, unlike -5..256.
+        g = random_gnm_graph(random.Random(65), 1200, 4000)
+        h, ids = parse_metis(to_metis(g))
+        assert (h.n, h.m) == (g.n, g.m)
+        assert h.adjacency == g.adjacency
+        assert h.weights == g.weights
+        assert ids == list(range(1, 1201))
 
 
 class TestWeightFamilies:

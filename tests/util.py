@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from mwis import Graph, build_graph
+from mwis import Graph, VertexSet, build_graph
+from mwis.reduction import _Reducer, resolve_trace
 
 
 def random_graph(rng: random.Random, n: int, p: float, max_weight: int = 200) -> Graph:
@@ -106,3 +107,25 @@ def random_maximal_is(rng: random.Random, g: Graph) -> list[int]:
             for u in g.adjacency[v]:
                 blocked[u] = True
     return chosen
+
+
+def reference_reduction_construction(g: Graph) -> VertexSet:
+    """Quadratic reference for `reduction_construction`: after the cheap rules
+    stall, rescan every alive vertex for the largest weight - nbw gap (ties
+    go to the smallest id) and take it."""
+    red = _Reducer(g)
+    while red.alive_count > 0:
+        red.run_rules((0, 1, 2), deadline=None, verify=False)
+        if red.alive_count == 0:
+            break
+        best_v = -1
+        best_gap = None
+        for v in range(len(red.alive)):
+            if not red.alive[v]:
+                continue
+            gap = red.weight[v] - red.nbw[v]
+            if best_gap is None or gap > best_gap:
+                best_gap = gap
+                best_v = v
+        red.take(best_v)
+    return resolve_trace(red.trace, set(), g.n)
