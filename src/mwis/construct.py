@@ -58,7 +58,13 @@ def density_radius(g: Graph) -> int:
 def greedy_construction(g: Graph) -> VertexSet:
     """Maximal independent set by repeatedly taking the best weight/sqrt(degree)
     vertex of the shrinking graph (degree-zero vertices always win, ties go to
-    the smallest id)."""
+    the smallest id).
+
+    The heap is lazily invalidated: an entry (-score, v, degree) is valid while
+    v is alive at that degree. The vertices whose degree fell while one pick
+    removed its neighborhood are re-pushed once, after the pick, so the heap
+    holds exactly one valid entry per alive vertex at every pop.
+    """
     n = g.n
     alive = [True] * n
     degree = [len(a) for a in g.adjacency]
@@ -71,6 +77,7 @@ def greedy_construction(g: Graph) -> VertexSet:
     heap = [(-score(v), v, degree[v]) for v in range(n)]
     heapq.heapify(heap)
     chosen = VertexSet()
+    touched: set[int] = set()
     while heap:
         _, v, deg_at_push = heapq.heappop(heap)
         if not alive[v] or deg_at_push != degree[v]:
@@ -83,7 +90,11 @@ def greedy_construction(g: Graph) -> VertexSet:
                 for x in g.adjacency[u]:
                     if alive[x]:
                         degree[x] -= 1
-                        heapq.heappush(heap, (-score(x), x, degree[x]))
+                        touched.add(x)
+        for x in touched:
+            if alive[x]:
+                heapq.heappush(heap, (-score(x), x, degree[x]))
+        touched.clear()
     return chosen
 
 

@@ -51,7 +51,7 @@ def adaptive_descent(
     best_w = g.set_weight(best)
     budget = cfg.m2 if depth < 0 else depth
     state.uiter = 0
-    pcfg = PerturbConfig(base_num=1, bms_t=cfg.bms_t, escalate_every=cfg.m1, base_cap=cfg.base_cap)
+    pcfg = PerturbConfig(base_num=1, bms_t=cfg.bms_t)
     while True:
         if deadline is not None and time.monotonic() >= deadline:
             break

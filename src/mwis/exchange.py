@@ -236,7 +236,6 @@ def run_em_module(
 class Outcome(Enum):
     NEW_BEST = 3
     IMPROVED_CURRENT = 2
-    IMPROVED_MOVES_ONLY = 1
     NONE = -1
 
 

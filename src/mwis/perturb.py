@@ -31,8 +31,6 @@ STRATEGIES: tuple[ScoreStrategy, ...] = tuple(ScoreStrategy)
 class PerturbConfig:
     base_num: int = 1  # floor on insertions per perturbation
     bms_t: int = 50  # candidates sampled per insertion
-    escalate_every: int = 100  # stagnation interval between base_num bumps
-    base_cap: int = 8
 
     def __post_init__(self):
         if self.base_num < 1:

@@ -52,6 +52,9 @@ class _Reducer:
         self.offset = 0
         self.trace: list[tuple] = []
         self._dirty: list[set[int]] = [set(range(g.n)) for _ in RULE_NAMES]
+        # Whether the graph changed since every rule last had every alive
+        # vertex dirty; run_rules skips its verification sweep while False.
+        self._changed = False
 
     # -- mutation primitives ---------------------------------------------
 
@@ -60,6 +63,7 @@ class _Reducer:
             d.update(vertices)
 
     def _delete(self, v: int) -> None:
+        self._changed = True
         self.alive[v] = False
         self.alive_count -= 1
         wv = self.weight[v]
@@ -182,6 +186,12 @@ class _Reducer:
         rule. With verify=True a final full sweep confirms the fixpoint
         regardless of the dirty-set bookkeeping; callers using only the
         cheap rules (whose dirty marks are complete) may skip it.
+
+        The sweep is skipped when the graph has not changed since every alive
+        vertex was last marked dirty for every rule, which holds for a fresh
+        reducer and after a sweep in which no rule fired: every rule has then
+        already checked every vertex against the current graph, so the sweep
+        could not fire either. On a graph no rule reduces this halves the time.
         """
         while True:
             pos = 0
@@ -192,19 +202,18 @@ class _Reducer:
                     pos = 0
                 else:
                     pos += 1
-            if not verify:
+            if not verify or not self._changed:
                 return
-            # Verification sweep: re-examine everything once.
-            for r in rule_indices:
-                self._dirty[r] = set(i for i in range(len(self.alive)) if self.alive[i])
-            clean = True
+            # Verification sweep: mark every alive vertex dirty for every rule
+            # and re-examine everything once.
+            self._mark([v for v, a in enumerate(self.alive) if a])
+            self._changed = False
             for r in rule_indices:
                 if deadline is not None and time.monotonic() >= deadline:
                     return
                 if self._run_one_rule(r, deadline):
-                    clean = False
                     break
-            if clean:
+            if not self._changed:
                 return
 
     def _run_one_rule(self, r: int, deadline: float | None) -> bool:
@@ -245,6 +254,8 @@ def reduce_graph(g: Graph, time_cap: float = 200.0) -> Kernel:
     red = _Reducer(g)
     if time_cap > 0:
         red.run_rules((0, 1, 2, 3, 4), time.monotonic() + time_cap)
+    if not red.trace:
+        return identity_kernel(g)  # nothing reduced: share g instead of copying it
     return red.kernel()
 
 

@@ -59,6 +59,17 @@ class SolutionState:
         if not g.is_independent(members):
             raise ValueError("initial solution is not an independent set")
         self.g = g
+        self.freq = [0] * g.n
+        self.change = [0] * g.n
+        self.last_visit = [0] * g.n
+        self.iter = 0
+        self.uiter = 0
+        self._rebuild(members)
+
+    def _rebuild(self, members: list[int]) -> None:
+        """Set the solution to `members` (already checked independent) and
+        recompute its weight, tightness, neighbor weights and vertex pools."""
+        g = self.g
         self.cs = VertexSet()
         self.cs_weight = 0
         self.tightness = [0] * g.n
@@ -66,11 +77,6 @@ class SolutionState:
         self.nb_weight = [0] * g.n
         self.free = VertexSet()
         self.non_cs = _SamplePool(g.n, range(g.n))
-        self.freq = [0] * g.n
-        self.change = [0] * g.n
-        self.last_visit = [0] * g.n
-        self.iter = 0
-        self.uiter = 0
         for v in members:
             self.cs.add(v)
             self.cs_weight += g.weights[v]
@@ -176,27 +182,9 @@ class SolutionState:
     def reset_solution(self, new_solution: Iterable[int]) -> None:
         """Replace the working solution wholesale, keeping the search statistics."""
         members = list(new_solution)
-        g = self.g
-        if not g.is_independent(members):
+        if not self.g.is_independent(members):
             raise ValueError("replacement solution is not an independent set")
-        self.cs = VertexSet()
-        self.cs_weight = 0
-        self.tightness = [0] * g.n
-        self.nb_weight = [0] * g.n
-        self.free = VertexSet()
-        self.non_cs = _SamplePool(g.n, range(g.n))
-        for v in members:
-            self.cs.add(v)
-            self.cs_weight += g.weights[v]
-            self.non_cs.discard(v)
-        for v in members:
-            wv = g.weights[v]
-            for u in g.adjacency[v]:
-                self.tightness[u] += 1
-                self.nb_weight[u] += wv
-        for v in range(g.n):
-            if v not in self.cs and self.tightness[v] == 0:
-                self.free.add(v)
+        self._rebuild(members)
 
     # -- validation --------------------------------------------------------
 

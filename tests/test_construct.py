@@ -17,6 +17,7 @@ from util import (
     path_graph,
     random_gnm_graph,
     random_graph,
+    reference_greedy_construction,
     reference_reduction_construction,
     star_graph,
 )
@@ -73,6 +74,18 @@ class TestGreedyConstruction:
             for v in range(g.n):
                 if v not in members:
                     assert any(u in members for u in g.adjacency[v])
+
+    def test_matches_per_decrement_reference(self):
+        # Same picks in the same order as pushing on every degree decrement;
+        # weights 1 and 1..3 make many scores tie, exercising the id tie-break.
+        rng = random.Random(31)
+        for max_weight in (1, 3, 200):
+            for p in (0.02, 0.1, 0.3, 0.6):
+                for _ in range(26):
+                    g = random_graph(rng, rng.randint(1, 80), p, max_weight)
+                    assert list(greedy_construction(g)) == list(reference_greedy_construction(g))
+            g = random_graph(rng, 300, 0.2, max_weight)
+            assert list(greedy_construction(g)) == list(reference_greedy_construction(g))
 
 
 class TestReductionConstruction:

@@ -230,9 +230,11 @@ class TestRewardTable:
 
     def test_alternating_rewards_return_to_start(self):
         t = RewardTable()
-        update_reward(t, 1, Outcome.IMPROVED_MOVES_ONLY)
+        update_reward(t, 1, Outcome.IMPROVED_CURRENT)
+        update_reward(t, 1, Outcome.NONE)
         update_reward(t, 1, Outcome.NONE)
         assert t.sum_re == 6
+        assert t.re[1] == 1
 
     def test_improved_current(self):
         t = RewardTable()

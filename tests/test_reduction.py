@@ -3,9 +3,18 @@ import random
 import pytest
 
 from mwis import VertexSet, brute_force_mwis, build_graph, lift_solution, reduce_graph
-from mwis.reduction import identity_kernel
+from mwis.reduction import _Reducer, identity_kernel
 
-from util import c4_3131, p3_151, path_graph, random_graph, star_graph
+from util import (
+    c4_3131,
+    cube_graph,
+    p3_151,
+    path_graph,
+    random_gnm_graph,
+    random_graph,
+    reference_reduce_graph,
+    star_graph,
+)
 
 
 def test_path_reduces_to_nothing():
@@ -113,3 +122,52 @@ def test_offset_counts_weight_changes():
     assert k.graph.n == 0
     assert k.offset == 5
     assert lift_solution(k, VertexSet()) == {1}
+
+
+def test_matches_always_sweeping_reference():
+    rng = random.Random(77)
+    graphs = []
+    for max_weight in (1, 3, 200):
+        for _ in range(40):
+            n = rng.randint(1, 60)
+            graphs.append(random_graph(rng, n, rng.choice([0.03, 0.08, 0.2, 0.5]), max_weight))
+        graphs.append(random_gnm_graph(rng, 500, 1500, max_weight))
+        graphs.append(random_graph(rng, 120, 0.3, max_weight))
+    graphs.append(cube_graph())
+    for g in graphs:
+        k = reduce_graph(g)
+        ref = reference_reduce_graph(g)
+        assert k.graph.adjacency == ref.graph.adjacency
+        assert k.graph.weights == ref.graph.weights
+        assert (k.graph.n, k.graph.m) == (ref.graph.n, ref.graph.m)
+        assert k.offset == ref.offset
+        assert k.trace == ref.trace
+        assert k.orig_map == ref.orig_map
+        assert k.source_n == ref.source_n
+
+
+def test_irreducible_graph_kernel_is_the_graph():
+    g = cube_graph()
+    k = reduce_graph(g)
+    assert k.graph is g
+    assert k.offset == 0 and k.trace == []
+    assert k.orig_map == list(range(g.n))
+    even = VertexSet(v for v in range(8) if bin(v).count("1") % 2 == 0)
+    assert lift_solution(k, even) == set(even)
+    assert g.set_weight(lift_solution(k, even)) == 4 == brute_force_mwis(g)[1]
+
+
+def test_sweep_skipped_when_no_rule_fires(monkeypatch):
+    calls = []
+    run_one = _Reducer._run_one_rule
+
+    def counting(self, r, deadline):
+        calls.append(r)
+        return run_one(self, r, deadline)
+
+    monkeypatch.setattr(_Reducer, "_run_one_rule", counting)
+    _Reducer(cube_graph()).run_rules((0, 1, 2, 3, 4), deadline=None)
+    assert calls == [0, 1, 2, 3, 4]  # one pass, no verification sweep
+    calls.clear()
+    _Reducer(p3_151()).run_rules((0, 1, 2, 3, 4), deadline=None)
+    assert calls[-5:] == [0, 1, 2, 3, 4] and len(calls) > 5  # the sweep still runs

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 
 from mwis import Graph, VertexSet, build_graph
-from mwis.reduction import _Reducer, resolve_trace
+from mwis.reduction import Kernel, _Reducer, resolve_trace
 
 
 def random_graph(rng: random.Random, n: int, p: float, max_weight: int = 200) -> Graph:
@@ -41,6 +43,13 @@ def star_graph(center_weight: int, leaf_weights: list[int]) -> Graph:
     """Vertex 0 is the center."""
     n = 1 + len(leaf_weights)
     return build_graph(n, [(0, i) for i in range(1, n)], [center_weight] + leaf_weights)
+
+
+def cube_graph() -> Graph:
+    """The 3-cube with unit weights: 3-regular and triangle-free, so no
+    reduction rule applies to it."""
+    edges = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+    return build_graph(8, edges, [1] * 8)
 
 
 def edgeless_graph(weights: list[int]) -> Graph:
@@ -129,3 +138,54 @@ def reference_reduction_construction(g: Graph) -> VertexSet:
                 best_v = v
         red.take(best_v)
     return resolve_trace(red.trace, set(), g.n)
+
+
+def reference_greedy_construction(g: Graph) -> VertexSet:
+    """Reference for `greedy_construction` that pushes a fresh heap entry on
+    every single degree decrement (O(m) pushes) instead of once per touched
+    vertex after each pick."""
+    n = g.n
+    alive = [True] * n
+    degree = [len(a) for a in g.adjacency]
+    weights = g.weights
+
+    def score(v: int) -> float:
+        d = degree[v]
+        return math.inf if d == 0 else weights[v] / math.sqrt(d)
+
+    heap = [(-score(v), v, degree[v]) for v in range(n)]
+    heapq.heapify(heap)
+    chosen = VertexSet()
+    while heap:
+        _, v, deg_at_push = heapq.heappop(heap)
+        if not alive[v] or deg_at_push != degree[v]:
+            continue
+        chosen.add(v)
+        alive[v] = False
+        for u in g.adjacency[v]:
+            if alive[u]:
+                alive[u] = False
+                for x in g.adjacency[u]:
+                    if alive[x]:
+                        degree[x] -= 1
+                        heapq.heappush(heap, (-score(x), x, degree[x]))
+    return chosen
+
+
+def reference_reduce_graph(g: Graph) -> Kernel:
+    """Reference for `reduce_graph` without a time cap that always ends with
+    a verification sweep over every alive vertex, even when no rule fired,
+    and always copies the working graph into the kernel."""
+    red = _Reducer(g)
+    rules = (0, 1, 2, 3, 4)
+    while True:
+        pos = 0
+        while pos < len(rules):
+            if red._run_one_rule(rules[pos], None):
+                pos = 0
+            else:
+                pos += 1
+        for r in rules:
+            red._dirty[r] = {v for v in range(len(red.alive)) if red.alive[v]}
+        if not any(red._run_one_rule(r, None) for r in rules):
+            return red.kernel()
