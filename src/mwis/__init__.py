@@ -28,7 +28,7 @@ from .graph import (
     level_neighborhood,
     neighbors,
 )
-from .oracle import brute_force_mwis, exhaustive_mwis
+from .oracle import brute_force_mwis
 from .perturb import PerturbConfig, ScoreStrategy, pick_strategy, perturb_solution, sample_insertion_count
 from .reduction import Kernel, identity_kernel, lift_solution, reduce_graph
 from .region import LocalGraph, build_local_graph, region_search
@@ -75,7 +75,6 @@ __all__ = [
     "SolveResult",
     "solve",
     "brute_force_mwis",
-    "exhaustive_mwis",
     "ParseError",
     "parse_metis",
     "parse_edgelist",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterable, Iterator
 
 
@@ -78,9 +77,6 @@ class Graph:
         i = bisect_left(adj, v)
         return i < len(adj) and adj[i] == v
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
     def set_weight(self, vertices: Iterable[int]) -> int:
         w = self.weights
         return sum(w[v] for v in vertices)
@@ -134,22 +130,6 @@ def neighbors(g: Graph, v: int) -> VertexSet:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range [0, {g.n})")
     return VertexSet(g.adjacency[v])
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distances from source by breadth-first search; -1 for unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
 
 
 def level_neighborhood(g: Graph, source: int, level: int) -> VertexSet:

@@ -1,7 +1,7 @@
-"""Exact maximum-weight independent set solvers for small instances.
+"""Exact maximum-weight independent set solver for small instances.
 
-These are the ground truth used by the test suite; they are deliberately
-simple and bounded to small vertex counts.
+`brute_force_mwis` backs `mwis exact` and is the ground truth of the test
+suite; it is deliberately simple and bounded to small vertex counts.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from .graph import Graph, VertexSet
 
 BRUTE_FORCE_LIMIT = 32
-EXHAUSTIVE_LIMIT = 20
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -81,34 +80,3 @@ def brute_force_mwis(g: Graph) -> tuple[VertexSet, int]:
 
     return VertexSet(best_tuple), best_weight
 
-
-def exhaustive_mwis(g: Graph) -> tuple[VertexSet, int]:
-    """Optimal independent set by enumerating every subset. Guarded to n <= 20."""
-    if g.n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive search limited to {EXHAUSTIVE_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return VertexSet(), 0
-    adj_mask = _adjacency_masks(g)
-    weights = g.weights
-    total = 1 << g.n
-    independent = bytearray(total)
-    subset_weight = [0] * total
-    independent[0] = 1
-    best_weight = 0
-    best_tuple: tuple[int, ...] = ()
-    for mask in range(1, total):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        if independent[rest] and not (adj_mask[v] & rest):
-            independent[mask] = 1
-            w = subset_weight[rest] + weights[v]
-            subset_weight[mask] = w
-            if w > best_weight:
-                best_weight = w
-                best_tuple = _mask_vertices(mask)
-            elif w == best_weight:
-                cand = _mask_vertices(mask)
-                if cand < best_tuple:
-                    best_tuple = cand
-    return VertexSet(best_tuple), best_weight

@@ -18,7 +18,7 @@ Rules, cheapest first:
 from __future__ import annotations
 
 import time
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .graph import Graph, VertexSet
@@ -39,22 +39,35 @@ class Kernel:
 
 
 class _Reducer:
-    """Mutable working graph shared by the kernelizer and the construction pass."""
+    """Mutable working graph shared by the kernelizer and the construction pass.
+
+    Adjacency is the input graph's own sorted lists, shared rather than
+    copied. Deleted vertices stay in the lists and are skipped through
+    `alive`; `deg` counts alive neighbors. A fold vertex's id exceeds every
+    existing id, so appending it keeps each list sorted; the append goes to a
+    copy of the list, so the input graph is never written.
+    """
 
     def __init__(self, g: Graph):
         self.source_n = g.n
-        self.adj: list[set[int]] = [set(a) for a in g.adjacency]
+        self.adj: list[list[int]] = list(g.adjacency)
+        self.deg: list[int] = [len(a) for a in g.adjacency]
         self.weight: list[int] = list(g.weights)
         self.alive: list[bool] = [True] * g.n
         self.alive_count = g.n
         # Sum of alive neighbor weights, kept incremental for O(1) rule checks.
-        self.nbw: list[int] = [sum(g.weights[u] for u in a) for a in g.adjacency]
+        w = g.weights
+        self.nbw: list[int] = [sum(map(w.__getitem__, a)) for a in g.adjacency]
         self.offset = 0
         self.trace: list[tuple] = []
         self._dirty: list[set[int]] = [set(range(g.n)) for _ in RULE_NAMES]
         # Whether the graph changed since every rule last had every alive
         # vertex dirty; run_rules skips its verification sweep while False.
         self._changed = False
+
+    def _alive_nbs(self, v: int) -> list[int]:
+        alive = self.alive
+        return [u for u in self.adj[v] if alive[u]]
 
     # -- mutation primitives ---------------------------------------------
 
@@ -66,36 +79,42 @@ class _Reducer:
         self._changed = True
         self.alive[v] = False
         self.alive_count -= 1
+        nbs = self._alive_nbs(v)
         wv = self.weight[v]
-        nbs = self.adj[v]
+        deg, nbw = self.deg, self.nbw
         for u in nbs:
-            self.adj[u].discard(v)
-            self.nbw[u] -= wv
+            deg[u] -= 1
+            nbw[u] -= wv
         self._mark(nbs)
         # Shrinking N[u] can newly expose domination two hops away.
         dom_dirty = self._dirty[3]
         for u in nbs:
             dom_dirty.update(self.adj[u])
-        self.adj[v] = set()
 
     def _decrease_weight(self, u: int, delta: int) -> None:
         self.weight[u] -= delta
-        for x in self.adj[u]:
+        nbs = self._alive_nbs(u)
+        for x in nbs:
             self.nbw[x] -= delta
-        self._mark(self.adj[u])
+        self._mark(nbs)
         self._mark((u,))
 
-    def _new_vertex(self, w: int, nbs: set[int]) -> int:
+    def _new_vertex(self, w: int, nbs: list[int]) -> int:
+        """Add a vertex of weight w adjacent to the sorted alive list nbs."""
         f = len(self.adj)
-        self.adj.append(set(nbs))
+        self.adj.append(nbs)
+        self.deg.append(len(nbs))
         self.weight.append(w)
         self.alive.append(True)
         self.alive_count += 1
-        self.nbw.append(sum(self.weight[u] for u in nbs))
+        self.nbw.append(sum(map(self.weight.__getitem__, nbs)))
         for d in self._dirty:
             d.add(f)
         for u in nbs:
-            self.adj[u].add(f)
+            # A copy, never an in-place append: the list may be the input's.
+            # Its cost matches the dom_dirty update below.
+            self.adj[u] = self.adj[u] + [f]
+            self.deg[u] += 1
             self.nbw[u] += w
         self._mark(nbs)
         dom_dirty = self._dirty[3]
@@ -107,14 +126,14 @@ class _Reducer:
         """Commit v to every lifted solution and drop its closed neighborhood."""
         self.trace.append(("take", v))
         self.offset += self.weight[v]
-        for u in sorted(self.adj[v]):
+        for u in self._alive_nbs(v):
             self._delete(u)
         self._delete(v)
 
     # -- rules -------------------------------------------------------------
 
     def _try_isolated(self, v: int) -> bool:
-        if self.adj[v]:
+        if self.deg[v]:
             return False
         self.trace.append(("take", v))
         self.offset += self.weight[v]
@@ -122,9 +141,9 @@ class _Reducer:
         return True
 
     def _try_degree_one(self, v: int) -> bool:
-        if len(self.adj[v]) != 1:
+        if self.deg[v] != 1:
             return False
-        (u,) = self.adj[v]
+        (u,) = self._alive_nbs(v)
         if self.weight[v] >= self.weight[u]:
             self.trace.append(("take", v))
             self.offset += self.weight[v]
@@ -144,31 +163,38 @@ class _Reducer:
         return True
 
     def _try_domination(self, v: int) -> bool:
-        adj_v = self.adj[v]
-        wv = self.weight[v]
-        for u in sorted(adj_v):
-            if self.weight[u] < wv or len(self.adj[u]) > len(adj_v):
-                continue
-            if all(x == v or x in adj_v for x in self.adj[u]):
+        alive, weight, deg, adj = self.alive, self.weight, self.deg, self.adj
+        wv, dv = weight[v], deg[v]
+        candidates = [u for u in adj[v] if weight[u] >= wv and deg[u] <= dv and alive[u]]
+        if not candidates:
+            return False
+        closed_v = set(adj[v])
+        closed_v.add(v)
+        for u in candidates:
+            # Skip the filtering copy when every entry of u's list is alive.
+            nbs_u = adj[u] if deg[u] == len(adj[u]) else self._alive_nbs(u)
+            if closed_v.issuperset(nbs_u):
                 self.trace.append(("drop", v))
                 self._delete(v)
                 return True
         return False
 
     def _try_fold(self, v: int) -> bool:
-        if len(self.adj[v]) != 2:
+        if self.deg[v] != 2:
             return False
-        u, w = sorted(self.adj[v])
-        if w in self.adj[u]:
+        u, w = self._alive_nbs(v)
+        adj_u = self.adj[u]
+        i = bisect_left(adj_u, w)
+        if i < len(adj_u) and adj_u[i] == w:
             return False
         wv, wu, ww = self.weight[v], self.weight[u], self.weight[w]
         if wv < max(wu, ww) or wv >= wu + ww:
             return False
-        merged = (self.adj[u] | self.adj[w]) - {u, v, w}
         self.offset += wv
         self._delete(v)
         self._delete(u)
         self._delete(w)
+        merged = sorted(set(self._alive_nbs(u)).union(self._alive_nbs(w)))
         f = self._new_vertex(wu + ww - wv, merged)
         self.trace.append(("fold", f, u, v, w))
         return True
@@ -235,9 +261,10 @@ class _Reducer:
         return applied
 
     def kernel(self) -> Kernel:
-        keep = [v for v in range(len(self.alive)) if self.alive[v]]
+        alive = self.alive
+        keep = [v for v, a in enumerate(alive) if a]
         index = {v: i for i, v in enumerate(keep)}
-        adjacency = [sorted(index[u] for u in self.adj[v]) for v in keep]
+        adjacency = [[index[u] for u in self.adj[v] if alive[u]] for v in keep]
         weights = [self.weight[v] for v in keep]
         m = sum(len(a) for a in adjacency) // 2
         return Kernel(

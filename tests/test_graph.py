@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mwis import average_degree, build_graph, induced_subgraph, level_neighborhood, neighbors
-from mwis.graph import VertexSet, bfs_distances
+from mwis.graph import VertexSet
 
 from util import all_pairs_bfs, c4_3131, edgeless_graph, p3_151, random_graph
 
@@ -163,14 +163,6 @@ class TestVertexSet:
         t = s.copy()
         t.add(3)
         assert 3 not in s
-
-
-def test_bfs_distances_matches_oracle():
-    rng = random.Random(99)
-    g = random_graph(rng, 30, 0.1)
-    oracle = all_pairs_bfs(g)
-    for v in range(g.n):
-        assert bfs_distances(g, v) == oracle[v]
 
 
 def test_edgeless_average_degree_zero():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mwis import brute_force_mwis, build_graph, exhaustive_mwis
+from mwis import brute_force_mwis, build_graph
 
-from util import c4_3131, edgeless_graph, p3_151, random_graph
+from util import c4_3131, edgeless_graph, exhaustive_mwis, p3_151, random_graph
 
 
 def test_path_optimum():

@@ -1,11 +1,20 @@
+import copy
 import random
 
 import pytest
 
-from mwis import VertexSet, brute_force_mwis, build_graph, lift_solution, reduce_graph
+from mwis import (
+    VertexSet,
+    brute_force_mwis,
+    build_graph,
+    lift_solution,
+    reduce_graph,
+    reduction_construction,
+)
 from mwis.reduction import _Reducer, identity_kernel
 
 from util import (
+    ReferenceReducer,
     c4_3131,
     cube_graph,
     p3_151,
@@ -171,3 +180,44 @@ def test_sweep_skipped_when_no_rule_fires(monkeypatch):
     calls.clear()
     _Reducer(p3_151()).run_rules((0, 1, 2, 3, 4), deadline=None)
     assert calls[-5:] == [0, 1, 2, 3, 4] and len(calls) > 5  # the sweep still runs
+
+
+def test_matches_set_reducer():
+    rng = random.Random(31)
+    graphs = []
+    for max_weight in (1, 3, 200):
+        for _ in range(60):
+            n = rng.randint(1, 80)
+            graphs.append(random_graph(rng, n, rng.choice([0.02, 0.05, 0.1, 0.2, 0.5]), max_weight))
+        graphs.append(random_gnm_graph(rng, 2000, 4000, max_weight))
+        graphs.append(random_gnm_graph(rng, 300, 3000, max_weight))
+    kinds = set()
+    for g in graphs:
+        k = reduce_graph(g)
+        ref = ReferenceReducer(g)
+        ref.run_rules((0, 1, 2, 3, 4), deadline=None)
+        expected = ref.kernel()
+        assert k.graph.adjacency == expected.graph.adjacency
+        assert k.graph.weights == expected.graph.weights
+        assert (k.graph.n, k.graph.m) == (expected.graph.n, expected.graph.m)
+        assert k.offset == expected.offset
+        assert k.trace == expected.trace
+        assert k.orig_map == expected.orig_map
+        kinds.update(entry[0] for entry in k.trace)
+    assert kinds == {"take", "defer", "drop", "fold"}
+
+
+def test_input_graph_is_not_modified():
+    rng = random.Random(8)
+    folds = 0
+    for n in (20, 60, 200, 1000):
+        for _ in range(5):
+            g = random_gnm_graph(rng, n, 3 * n // 2, 200)
+            adjacency, weights = copy.deepcopy(g.adjacency), list(g.weights)
+            k = reduce_graph(g)
+            folds += sum(entry[0] == "fold" for entry in k.trace)
+            reduction_construction(g)
+            assert g.adjacency == adjacency
+            assert g.weights == weights
+            assert (g.n, g.m) == (n, 3 * n // 2)
+    assert folds > 0
