@@ -1,7 +1,7 @@
 """Local-search solver for the maximum weighted independent set problem."""
 
 from .construct import build_initial_solution, density_radius, greedy_construction, reduction_construction
-from .descent import DescentConfig, adaptive_descent
+from .descent import adaptive_descent
 from .exchange import (
     EXCHANGE_MODULES,
     Outcome,
@@ -19,17 +19,9 @@ from .formats import (
     parse_metis,
     to_metis,
 )
-from .graph import (
-    Graph,
-    VertexSet,
-    average_degree,
-    build_graph,
-    induced_subgraph,
-    level_neighborhood,
-    neighbors,
-)
+from .graph import Graph, VertexSet, build_graph, induced_subgraph
 from .oracle import brute_force_mwis
-from .perturb import PerturbConfig, ScoreStrategy, pick_strategy, perturb_solution, sample_insertion_count
+from .perturb import ScoreStrategy, pick_strategy, perturb_solution, sample_insertion_count
 from .reduction import Kernel, identity_kernel, lift_solution, reduce_graph
 from .region import LocalGraph, build_local_graph, region_search
 from .solver import SolveResult, SolverConfig, solve
@@ -41,9 +33,6 @@ __all__ = [
     "Graph",
     "VertexSet",
     "build_graph",
-    "neighbors",
-    "level_neighborhood",
-    "average_degree",
     "induced_subgraph",
     "Kernel",
     "reduce_graph",
@@ -55,7 +44,6 @@ __all__ = [
     "reduction_construction",
     "build_initial_solution",
     "ScoreStrategy",
-    "PerturbConfig",
     "sample_insertion_count",
     "pick_strategy",
     "perturb_solution",
@@ -66,7 +54,6 @@ __all__ = [
     "update_reward",
     "composite_search",
     "composite_search_loop",
-    "DescentConfig",
     "adaptive_descent",
     "LocalGraph",
     "build_local_graph",

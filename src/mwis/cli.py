@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 
-log = logging.getLogger(__name__)
-
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="graph file")

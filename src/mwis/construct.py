@@ -114,7 +114,7 @@ def reduction_construction(g: Graph) -> VertexSet:
     weight, nbw, alive = red.weight, red.nbw, red.alive
     heap: list[tuple[int, int]] = []
     while red.alive_count > 0:
-        red.run_rules(cheap_rules, deadline=None, verify=False)
+        red.run_rules(cheap_rules, verify=False)
         if red.alive_count == 0:
             break
         for v in changed:

@@ -3,45 +3,34 @@ perturbation under a stagnation budget."""
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import dataclass
 
 from .exchange import run_module_a
 from .graph import VertexSet
-from .perturb import PerturbConfig, pick_strategy, perturb_solution, sample_insertion_count
+from .perturb import pick_strategy, perturb_solution, sample_insertion_count
 from .state import SolutionState
 
-
-@dataclass
-class DescentConfig:
-    m1: int = 100  # stagnation interval that escalates the perturbation floor
-    m2: int = 3000  # stagnation budget in global mode (depth -1)
-    bms_t: int = 50
-    base_cap: int = 8
-
-    def __post_init__(self):
-        if self.m1 < 1:
-            raise ValueError("m1 must be >= 1")
-        if self.m2 < self.m1:
-            raise ValueError("m2 must be >= m1")
+M1 = 100  # stagnation interval that escalates the perturbation floor
+M2 = 3000  # stagnation budget in global mode (depth -1)
+BASE_CAP = 8  # ceiling of the perturbation floor
 
 
 def adaptive_descent(
     state: SolutionState,
     best: VertexSet,
     depth: int,
-    cfg: DescentConfig,
     rng: random.Random,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     on_improve=None,
 ) -> VertexSet:
     """Refine the working solution until `depth` consecutive rounds bring no
-    new best (depth -1 means the global budget cfg.m2).
+    new best (depth -1 means the global budget M2).
 
     Each round runs the cheap exchange module, banks any new best, then
-    perturbs. The perturbation floor grows by one every cfg.m1 stagnant
-    rounds (capped) and resets on improvement. Returns the best set seen,
+    perturbs. The perturbation floor grows by one every M1 stagnant rounds
+    (capped at BASE_CAP) and resets on improvement. Returns the best set seen,
     never worse than the one passed in.
     """
     if depth != -1 and depth < 1:
@@ -49,11 +38,11 @@ def adaptive_descent(
     g = state.g
     best = best.copy()
     best_w = g.set_weight(best)
-    budget = cfg.m2 if depth < 0 else depth
+    budget = M2 if depth < 0 else depth
     state.uiter = 0
-    pcfg = PerturbConfig(base_num=1, bms_t=cfg.bms_t)
+    base_num = 1
     while True:
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             break
         run_module_a(state, deadline)
         improved = state.cs_weight > best_w
@@ -65,11 +54,11 @@ def adaptive_descent(
         if not improved and state.uiter >= budget:
             break
         if improved:
-            pcfg.base_num = 1
-        elif state.uiter > 0 and state.uiter % cfg.m1 == 0:
-            pcfg.base_num = min(pcfg.base_num + 1, cfg.base_cap)
+            base_num = 1
+        elif state.uiter > 0 and state.uiter % M1 == 0:
+            base_num = min(base_num + 1, BASE_CAP)
         strategy = pick_strategy(rng)
-        num = sample_insertion_count(pcfg, rng)
-        perturb_solution(state, strategy, num, pcfg, rng)
+        num = sample_insertion_count(base_num, rng)
+        perturb_solution(state, strategy, num, rng)
         state.tick(improved)
     return best

@@ -14,13 +14,14 @@ Module taxonomy:
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from enum import Enum
 from itertools import combinations
 
 from .graph import VertexSet
-from .perturb import PerturbConfig, pick_strategy, perturb_solution, sample_insertion_count
+from .perturb import pick_strategy, perturb_solution, sample_insertion_count
 from .state import SolutionState
 
 # (tightness-one count, tightness-two count) per exchange module.
@@ -198,13 +199,13 @@ def _x0_pass(state: SolutionState) -> bool:
     return False
 
 
-def _vnd(state: SolutionState, passes, deadline: float | None) -> bool:
+def _vnd(state: SolutionState, passes, deadline: float = math.inf) -> bool:
     """Variable neighborhood descent: any improvement restarts at the first
     neighborhood; the solution is re-maximized as each neighborhood completes."""
     start = state.cs_weight
     i = 0
     while i < len(passes):
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             break
         if passes[i](state):
             i = 0
@@ -214,7 +215,7 @@ def _vnd(state: SolutionState, passes, deadline: float | None) -> bool:
     return state.cs_weight > start
 
 
-def run_module_a(state: SolutionState, deadline: float | None = None) -> bool:
+def run_module_a(state: SolutionState, deadline: float = math.inf) -> bool:
     return _vnd(
         state,
         (omega_one_pass, two_improvement_pass, lambda s: _xy_pass(s, 1, 1)),
@@ -222,12 +223,12 @@ def run_module_a(state: SolutionState, deadline: float | None = None) -> bool:
     )
 
 
-def run_module_b(state: SolutionState, deadline: float | None = None) -> bool:
+def run_module_b(state: SolutionState, deadline: float = math.inf) -> bool:
     return _vnd(state, (two_three_pass, _x0_pass), deadline)
 
 
 def run_em_module(
-    state: SolutionState, module: tuple[int, int], deadline: float | None = None
+    state: SolutionState, module: tuple[int, int], deadline: float = math.inf
 ) -> bool:
     x, y = module
     return _vnd(state, (omega_one_pass, lambda s: _xy_pass(s, x, y)), deadline)
@@ -275,7 +276,7 @@ def composite_search(
     state: SolutionState,
     best: VertexSet,
     rng: random.Random,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     on_improve=None,
 ) -> VertexSet:
     """Reward-guided rounds of module A, a roulette-picked EM module, and
@@ -313,7 +314,7 @@ def composite_search(
             note()
         if table.sum_re <= table.initial:
             break
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             break
     return best
 
@@ -323,7 +324,6 @@ def composite_search_loop(
     best: VertexSet,
     deadline: float,
     rng: random.Random,
-    perturb_cfg: PerturbConfig | None = None,
     on_improve=None,
 ) -> VertexSet:
     """Drive composite_search until the deadline, perturbing the working
@@ -331,7 +331,6 @@ def composite_search_loop(
     g = state.g
     best = best.copy()
     best_w = g.set_weight(best)
-    cfg = perturb_cfg if perturb_cfg is not None else PerturbConfig()
     while time.monotonic() < deadline:
         round_best = composite_search(state, best, rng, deadline, on_improve)
         round_w = g.set_weight(round_best)
@@ -342,6 +341,6 @@ def composite_search_loop(
         state.tick(improved)
         if not improved:
             strategy = pick_strategy(rng)
-            num = sample_insertion_count(cfg, rng)
-            perturb_solution(state, strategy, num, cfg, rng)
+            num = sample_insertion_count(1, rng)  # floor fixed at its lowest value
+            perturb_solution(state, strategy, num, rng)
     return best

@@ -126,44 +126,6 @@ def replace_weights(g: Graph, weights: list[int]) -> Graph:
     return Graph(g.n, g.adjacency, list(weights), g.m)
 
 
-def neighbors(g: Graph, v: int) -> VertexSet:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    return VertexSet(g.adjacency[v])
-
-
-def level_neighborhood(g: Graph, source: int, level: int) -> VertexSet:
-    """Vertices at BFS distance exactly `level` from source (empty beyond the component)."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"vertex {source} out of range [0, {g.n})")
-    if level == 0:
-        return VertexSet([source])
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
-    depth = 0
-    adj = g.adjacency
-    while frontier and depth < level:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        frontier = nxt
-        depth += 1
-    if depth < level:
-        return VertexSet()
-    return VertexSet(sorted(frontier))
-
-
-def average_degree(g: Graph) -> float:
-    """Average vertex degree, 2m/n. Exact threshold comparisons are done by callers in integers."""
-    if g.n == 0:
-        raise ValueError("average degree of an empty graph is undefined")
-    return 2 * g.m / g.n
-
-
 def induced_subgraph(
     g: Graph, keep: Iterable[int]
 ) -> tuple[Graph, dict[int, int], list[int]]:

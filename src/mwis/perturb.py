@@ -9,7 +9,6 @@ which one runs is drawn uniformly per perturbation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .state import SolutionState
@@ -26,20 +25,10 @@ class ScoreStrategy(Enum):
 
 STRATEGIES: tuple[ScoreStrategy, ...] = tuple(ScoreStrategy)
 
-
-@dataclass
-class PerturbConfig:
-    base_num: int = 1  # floor on insertions per perturbation
-    bms_t: int = 50  # candidates sampled per insertion
-
-    def __post_init__(self):
-        if self.base_num < 1:
-            raise ValueError("base_num must be >= 1")
-        if self.bms_t < 1:
-            raise ValueError("bms_t must be >= 1")
+BMS_T = 50  # candidates sampled per forced insertion
 
 
-def sample_insertion_count(cfg: PerturbConfig, rng: random.Random) -> int:
+def sample_insertion_count(base_num: int, rng: random.Random) -> int:
     """base_num plus a geometric bonus: the bonus is i+1 with probability 2^-i.
 
     Counting fair-coin successes gives exactly that law; the expected total
@@ -48,7 +37,7 @@ def sample_insertion_count(cfg: PerturbConfig, rng: random.Random) -> int:
     i = 1
     while rng.random() < 0.5:
         i += 1
-    return cfg.base_num + i + 1
+    return base_num + i + 1
 
 
 def pick_strategy(rng: random.Random) -> ScoreStrategy:
@@ -73,12 +62,11 @@ def perturb_solution(
     state: SolutionState,
     strategy: ScoreStrategy,
     num: int,
-    cfg: PerturbConfig,
     rng: random.Random,
 ) -> None:
     """Force `num` vertices into the solution, then re-maximize.
 
-    Every insertion picks the best of min(bms_t, pool) uniformly sampled
+    Every insertion picks the best of min(BMS_T, pool) uniformly sampled
     non-solution vertices under `strategy`. A vertex is forced at most once
     per call; when no fresh candidate exists the pass ends early. A solution
     covering the whole graph is left untouched.
@@ -89,7 +77,7 @@ def perturb_solution(
         pool = state.non_cs
         if len(pool) == 0:
             break
-        sampled = pool.sample(rng, min(cfg.bms_t, len(pool)))
+        sampled = pool.sample(rng, min(BMS_T, len(pool)))
         candidates = [v for v in sampled if v not in forced]
         if not candidates:
             break

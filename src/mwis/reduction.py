@@ -17,6 +17,7 @@ Rules, cheapest first:
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -204,7 +205,7 @@ class _Reducer:
     # -- driver ------------------------------------------------------------
 
     def run_rules(
-        self, rule_indices: tuple[int, ...], deadline: float | None, verify: bool = True
+        self, rule_indices: tuple[int, ...], deadline: float = math.inf, verify: bool = True
     ) -> None:
         """Apply the selected rules to fixpoint, cheapest rule first.
 
@@ -222,7 +223,7 @@ class _Reducer:
         while True:
             pos = 0
             while pos < len(rule_indices):
-                if deadline is not None and time.monotonic() >= deadline:
+                if time.monotonic() >= deadline:
                     return
                 if self._run_one_rule(rule_indices[pos], deadline):
                     pos = 0
@@ -235,14 +236,14 @@ class _Reducer:
             self._mark([v for v, a in enumerate(self.alive) if a])
             self._changed = False
             for r in rule_indices:
-                if deadline is not None and time.monotonic() >= deadline:
+                if time.monotonic() >= deadline:
                     return
                 if self._run_one_rule(r, deadline):
                     break
             if not self._changed:
                 return
 
-    def _run_one_rule(self, r: int, deadline: float | None) -> bool:
+    def _run_one_rule(self, r: int, deadline: float) -> bool:
         rule = self._RULES[r]
         dirty = self._dirty[r]
         applied = False
@@ -256,7 +257,7 @@ class _Reducer:
                 if rule(self, v):
                     applied = True
                 checked += 1
-                if deadline is not None and checked % 256 == 0 and time.monotonic() >= deadline:
+                if checked % 256 == 0 and time.monotonic() >= deadline:
                     return applied
         return applied
 

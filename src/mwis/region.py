@@ -8,11 +8,12 @@ with the solution outside it (splice safety).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 
-from .descent import DescentConfig, adaptive_descent
+from .descent import adaptive_descent
 from .graph import Graph, VertexSet, induced_subgraph
 from .state import SolutionState
 
@@ -112,9 +113,8 @@ def region_search(
     best: VertexSet,
     radius_base: int,
     search_depth: int,
-    cfg: DescentConfig,
     rng: random.Random,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     on_improve=None,
     stats_out: dict | None = None,
 ) -> tuple[VertexSet, bool]:
@@ -143,7 +143,7 @@ def region_search(
     size_cap = max(10_000, g.n // 5)
 
     while c <= min(len(state.cs), budget) and pool:
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             break
         pick = min(range(len(pool)), key=lambda i: (freq[pool[i]], pool[i]))
         center = pool.pop(pick)
@@ -152,9 +152,7 @@ def region_search(
         region = build_local_graph(g, state.cs, center, radius, max_size=size_cap)
         inside_w = region.graph.set_weight(region.solu1)
         local_state = SolutionState(region.graph, _greedy_by_weight(region.graph))
-        refined = adaptive_descent(
-            local_state, region.solu1, search_depth, cfg, rng, deadline
-        )
+        refined = adaptive_descent(local_state, region.solu1, search_depth, rng, deadline)
         refined_w = region.graph.set_weight(refined)
         if refined_w > inside_w:
             old_global = {region.to_global[u] for u in region.solu1}

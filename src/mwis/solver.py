@@ -13,13 +13,14 @@ import time
 from dataclasses import dataclass, field
 
 from .construct import build_initial_solution, density_radius
-from .descent import DescentConfig, adaptive_descent
+from .descent import adaptive_descent
 from .exchange import composite_search, composite_search_loop
 from .graph import Graph, VertexSet
-from .perturb import PerturbConfig
 from .reduction import Kernel, identity_kernel, lift_solution, reduce_graph
 from .region import region_search
 from .state import SolutionState
+
+SEARCH_DEPTH = 100  # stagnation budget of each region descent
 
 
 @dataclass
@@ -27,10 +28,6 @@ class SolverConfig:
     time_limit: float = 1000.0
     seed: int = 1
     reduce_cap: float = 200.0
-    m1: int = 100
-    m2: int = 3000
-    search_depth: int = 100
-    bms_t: int = 50
     no_reduce: bool = False
 
     def __post_init__(self):
@@ -86,24 +83,17 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         state.maximize()
         best = state.cs.copy()
         note(state.cs_weight)
-
-        def on_improve(kernel_weight: int) -> None:
-            note(kernel_weight)
-
-        dcfg = DescentConfig(m1=cfg.m1, m2=cfg.m2, bms_t=cfg.bms_t)
         if radius <= 2:
-            best = composite_search_loop(
-                state, best, deadline, rng, PerturbConfig(bms_t=cfg.bms_t), on_improve
-            )
+            best = composite_search_loop(state, best, deadline, rng, note)
         else:
             while time.monotonic() < deadline:
-                best = adaptive_descent(state, best, -1, dcfg, rng, deadline, on_improve)
+                best = adaptive_descent(state, best, -1, rng, deadline, note)
                 state.reset_solution(best)
                 best, improved_here = region_search(
-                    state, best, radius, cfg.search_depth, dcfg, rng, deadline, on_improve
+                    state, best, radius, SEARCH_DEPTH, rng, deadline, note
                 )
                 if not improved_here:
-                    best = composite_search(state, best, rng, deadline, on_improve)
+                    best = composite_search(state, best, rng, deadline, note)
                     state.reset_solution(best)
         iterations = state.iter
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from mwis import (
-    DescentConfig,
     RewardTable,
     SolutionState,
     SolverConfig,
@@ -34,7 +33,7 @@ from mwis import (
     solve,
 )
 from mwis.construct import greedy_construction
-from mwis.perturb import PerturbConfig, sample_insertion_count
+from mwis.perturb import sample_insertion_count
 from mwis.region import _greedy_by_weight
 
 from util import random_gnm_graph, random_graph, random_maximal_is
@@ -143,11 +142,11 @@ def test_criterion_5_distributions():
 
     rng = random.Random(50_005)
     draws = 100_000
-    cfg = PerturbConfig(base_num=1)
+    base_num = 1
     tail_at = 12
     observed = [0] * (tail_at + 1)
     for _ in range(draws):
-        bonus = sample_insertion_count(cfg, rng) - cfg.base_num
+        bonus = sample_insertion_count(base_num, rng) - base_num
         observed[min(bonus, tail_at)] += 1
     expected = [0.0] * (tail_at + 1)
     for bonus in range(2, tail_at):
@@ -236,7 +235,7 @@ def test_criterion_8_per_iteration_scaling():
             rng = random.Random(seed)
             start = time.monotonic()
             adaptive_descent(
-                state, state.cs.copy(), -1, DescentConfig(), rng,
+                state, state.cs.copy(), -1, rng,
                 deadline=start + budget,
             )
             elapsed = time.monotonic() - start

@@ -3,20 +3,20 @@ import time
 
 import pytest
 
-from mwis import DescentConfig, SolutionState, adaptive_descent, brute_force_mwis
+from mwis import SolutionState, adaptive_descent, brute_force_mwis
 
 from util import p3_151, random_graph
 
 
 def test_path_descends_to_optimum():
     s = SolutionState(p3_151(), [0, 2])
-    best = adaptive_descent(s, s.cs.copy(), -1, DescentConfig(), random.Random(1))
+    best = adaptive_descent(s, s.cs.copy(), -1, random.Random(1))
     assert best == {1}
 
 
 def test_depth_one_attempts_exactly_one_perturbation():
     s = SolutionState(p3_151(), [1])  # already locally optimal for module A
-    best = adaptive_descent(s, s.cs.copy(), 1, DescentConfig(), random.Random(1))
+    best = adaptive_descent(s, s.cs.copy(), 1, random.Random(1))
     assert best == {1}
     assert s.iter == 1  # one perturbation round ran before the budget tripped
     assert sum(s.freq) > 0
@@ -25,16 +25,9 @@ def test_depth_one_attempts_exactly_one_perturbation():
 def test_invalid_depth_rejected():
     s = SolutionState(p3_151())
     with pytest.raises(ValueError):
-        adaptive_descent(s, s.cs.copy(), 0, DescentConfig(), random.Random(1))
+        adaptive_descent(s, s.cs.copy(), 0, random.Random(1))
     with pytest.raises(ValueError):
-        adaptive_descent(s, s.cs.copy(), -2, DescentConfig(), random.Random(1))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DescentConfig(m1=0)
-    with pytest.raises(ValueError):
-        DescentConfig(m1=100, m2=50)
+        adaptive_descent(s, s.cs.copy(), -2, random.Random(1))
 
 
 def test_best_is_monotone_and_independent():
@@ -44,7 +37,7 @@ def test_best_is_monotone_and_independent():
         s = SolutionState(g)
         s.maximize()
         start = s.cs_weight
-        best = adaptive_descent(s, s.cs.copy(), 40, DescentConfig(), rng)
+        best = adaptive_descent(s, s.cs.copy(), 40, rng)
         assert g.set_weight(best) >= start
         assert g.is_independent(best)
         assert s.uiter <= 40
@@ -54,7 +47,7 @@ def test_stagnation_budget_respected():
     g = random_graph(random.Random(8), 15, 0.3)
     s = SolutionState(g)
     s.maximize()
-    adaptive_descent(s, s.cs.copy(), 5, DescentConfig(), random.Random(8))
+    adaptive_descent(s, s.cs.copy(), 5, random.Random(8))
     assert s.uiter <= 5
 
 
@@ -69,7 +62,7 @@ def test_random_instances_reach_optimum():
         s = SolutionState(g)
         s.maximize()
         best = adaptive_descent(
-            s, s.cs.copy(), -1, DescentConfig(), random.Random(seed),
+            s, s.cs.copy(), -1, random.Random(seed),
             deadline=time.monotonic() + 0.3,
         )
         w = g.set_weight(best)
@@ -84,6 +77,6 @@ def test_deterministic_per_seed():
     for _ in range(2):
         s = SolutionState(g)
         s.maximize()
-        best = adaptive_descent(s, s.cs.copy(), 60, DescentConfig(), random.Random(5))
+        best = adaptive_descent(s, s.cs.copy(), 60, random.Random(5))
         outs.append(sorted(best))
     assert outs[0] == outs[1]

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from mwis import average_degree, build_graph, induced_subgraph, level_neighborhood, neighbors
+from mwis import build_graph, induced_subgraph
 from mwis.graph import VertexSet
 
-from util import all_pairs_bfs, c4_3131, edgeless_graph, p3_151, random_graph
+from util import c4_3131, p3_151, random_graph
 
 
 class TestBuildGraph:
@@ -43,68 +43,6 @@ class TestBuildGraph:
         g = build_graph(2, [(0, 0), (0, 1)], [1, 1])
         assert g.m == 1
         assert g.adjacency[0] == [1]
-
-
-class TestNeighbors:
-    def test_middle_of_path(self):
-        assert neighbors(p3_151(), 1) == {0, 2}
-
-    def test_end_of_path(self):
-        assert neighbors(p3_151(), 0) == {1}
-
-    def test_isolated(self):
-        assert neighbors(build_graph(1, [], [7]), 0) == set()
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighbors(p3_151(), 3)
-
-    def test_sizes_sum_to_twice_edge_count(self):
-        rng = random.Random(42)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 40), 0.2)
-            assert sum(len(neighbors(g, v)) for v in range(g.n)) == 2 * g.m
-
-
-class TestLevelNeighborhood:
-    def test_path_level_two(self):
-        assert level_neighborhood(p3_151(), 0, 2) == {2}
-
-    def test_beyond_component(self):
-        assert level_neighborhood(p3_151(), 0, 3) == set()
-
-    def test_cycle_level_two(self):
-        assert level_neighborhood(c4_3131(), 0, 2) == {2}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            level_neighborhood(p3_151(), 5, 1)
-
-    def test_levels_partition_component(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(1, 50), rng.choice([0.05, 0.1, 0.3]))
-            dist = all_pairs_bfs(g)
-            v = rng.randrange(g.n)
-            reachable = [u for u in range(g.n) if dist[v][u] >= 0]
-            seen: set[int] = set()
-            for lvl in range(g.n + 1):
-                members = set(level_neighborhood(g, v, lvl))
-                assert members == {u for u in reachable if dist[v][u] == lvl}
-                assert not members & seen
-                seen |= members
-            assert seen == set(reachable)
-
-
-class TestAverageDegree:
-    def test_path(self):
-        assert average_degree(p3_151()) == pytest.approx(4 / 3)
-
-    def test_cycle(self):
-        assert average_degree(c4_3131()) == 2
-
-    def test_singleton(self):
-        assert average_degree(build_graph(1, [], [7])) == 0
 
 
 class TestInducedSubgraph:
@@ -164,6 +102,3 @@ class TestVertexSet:
         t.add(3)
         assert 3 not in s
 
-
-def test_edgeless_average_degree_zero():
-    assert average_degree(edgeless_graph([1, 2, 3])) == 0

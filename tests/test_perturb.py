@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from mwis import (
-    PerturbConfig,
     ScoreStrategy,
     SolutionState,
     perturb_solution,
@@ -18,8 +17,8 @@ from util import edgeless_graph, p3_151, random_graph
 class TestSampleInsertionCount:
     def test_geometric_bonus_distribution(self):
         rng = random.Random(1)
-        cfg = PerturbConfig(base_num=1)
-        counts = Counter(sample_insertion_count(cfg, rng) - cfg.base_num for _ in range(100_000))
+        base_num = 1
+        counts = Counter(sample_insertion_count(base_num, rng) - base_num for _ in range(100_000))
         # P(bonus = i+1) = 2^-i: bonus 2 half the time, 3 a quarter, 4 an eighth.
         assert counts[2] / 100_000 == pytest.approx(0.5, abs=0.01)
         assert counts[3] / 100_000 == pytest.approx(0.25, abs=0.01)
@@ -27,20 +26,12 @@ class TestSampleInsertionCount:
 
     def test_expected_total(self):
         rng = random.Random(2)
-        cfg = PerturbConfig(base_num=4)
-        draws = [sample_insertion_count(cfg, rng) for _ in range(100_000)]
+        draws = [sample_insertion_count(4, rng) for _ in range(100_000)]
         assert sum(draws) / len(draws) == pytest.approx(4 + 3, abs=0.05)
 
     def test_minimum_is_base_plus_two(self):
         rng = random.Random(3)
-        cfg = PerturbConfig(base_num=1)
-        assert min(sample_insertion_count(cfg, rng) for _ in range(10_000)) == 3
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PerturbConfig(base_num=0)
-        with pytest.raises(ValueError):
-            PerturbConfig(bms_t=0)
+        assert min(sample_insertion_count(1, rng) for _ in range(10_000)) == 3
 
 
 class TestPickStrategy:
@@ -63,14 +54,14 @@ class TestPickStrategy:
 class TestPerturbSolution:
     def test_loss_strategy_takes_profitable_vertex(self):
         s = SolutionState(p3_151(), [0, 2])
-        perturb_solution(s, ScoreStrategy.LOSS, 1, PerturbConfig(), random.Random(1))
+        perturb_solution(s, ScoreStrategy.LOSS, 1, random.Random(1))
         assert s.cs == {1}
         assert s.cs_weight == 5
 
     def test_age_ties_break_to_lowest_id(self):
         g = edgeless_graph([1, 1, 1])
         s = SolutionState(g)
-        perturb_solution(s, ScoreStrategy.AGE, 1, PerturbConfig(), random.Random(1))
+        perturb_solution(s, ScoreStrategy.AGE, 1, random.Random(1))
         # all ages equal zero; vertex 0 wins the tie, then maximize adds the rest
         assert s.freq[0] == 1
         assert s.cs == {0, 1, 2}
@@ -78,7 +69,7 @@ class TestPerturbSolution:
     def test_oversized_num_inserts_each_vertex_once(self):
         g = edgeless_graph([1, 2, 3])
         s = SolutionState(g)
-        perturb_solution(s, ScoreStrategy.FREQ, 10, PerturbConfig(), random.Random(1))
+        perturb_solution(s, ScoreStrategy.FREQ, 10, random.Random(1))
         assert s.cs == {0, 1, 2}
         assert all(s.freq[v] == 1 for v in range(3))
 
@@ -86,7 +77,7 @@ class TestPerturbSolution:
         g = edgeless_graph([1, 1])
         s = SolutionState(g)
         s.maximize()
-        perturb_solution(s, ScoreStrategy.FREQ, 3, PerturbConfig(), random.Random(1))
+        perturb_solution(s, ScoreStrategy.FREQ, 3, random.Random(1))
         assert s.cs == {0, 1}
 
     def test_result_is_independent_and_maximal(self):
@@ -96,8 +87,8 @@ class TestPerturbSolution:
             s = SolutionState(g)
             s.maximize()
             strategy = pick_strategy(rng)
-            num = sample_insertion_count(PerturbConfig(), rng)
-            perturb_solution(s, strategy, num, PerturbConfig(), rng)
+            num = sample_insertion_count(1, rng)
+            perturb_solution(s, strategy, num, rng)
             s.check_invariants()
             assert len(s.free) == 0
 
@@ -107,7 +98,7 @@ class TestPerturbSolution:
         for _ in range(2):
             s = SolutionState(g)
             s.maximize()
-            perturb_solution(s, ScoreStrategy.FREQ, 4, PerturbConfig(), random.Random(123))
+            perturb_solution(s, ScoreStrategy.FREQ, 4, random.Random(123))
             results.append(sorted(s.cs))
         assert results[0] == results[1]
 
@@ -115,5 +106,5 @@ class TestPerturbSolution:
         # the only non-solution vertex has negative loss: the step cannot lose
         s = SolutionState(p3_151(), [0, 2])
         before = s.cs_weight
-        perturb_solution(s, ScoreStrategy.LOSS, 1, PerturbConfig(), random.Random(2))
+        perturb_solution(s, ScoreStrategy.LOSS, 1, random.Random(2))
         assert s.cs_weight >= before

@@ -175,10 +175,10 @@ def test_sweep_skipped_when_no_rule_fires(monkeypatch):
         return run_one(self, r, deadline)
 
     monkeypatch.setattr(_Reducer, "_run_one_rule", counting)
-    _Reducer(cube_graph()).run_rules((0, 1, 2, 3, 4), deadline=None)
+    _Reducer(cube_graph()).run_rules((0, 1, 2, 3, 4))
     assert calls == [0, 1, 2, 3, 4]  # one pass, no verification sweep
     calls.clear()
-    _Reducer(p3_151()).run_rules((0, 1, 2, 3, 4), deadline=None)
+    _Reducer(p3_151()).run_rules((0, 1, 2, 3, 4))
     assert calls[-5:] == [0, 1, 2, 3, 4] and len(calls) > 5  # the sweep still runs
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mwis import DescentConfig, SolutionState, VertexSet, build_graph, build_local_graph, region_search
+from mwis import SolutionState, VertexSet, build_graph, build_local_graph, region_search
 
 from util import edgeless_graph, path_graph, random_graph, random_maximal_is
 
@@ -81,7 +81,7 @@ class TestRegionSearch:
     def test_empty_solution_returns_immediately(self):
         g = path_graph([1, 1, 1])
         s = self._state_with(g, [])
-        best, improved = region_search(s, s.cs.copy(), 1, 10, DescentConfig(), random.Random(1))
+        best, improved = region_search(s, s.cs.copy(), 1, 10, random.Random(1))
         assert not improved
         assert len(best) == 0
 
@@ -90,7 +90,7 @@ class TestRegionSearch:
         # low-frequency center must swap it in.
         g = path_graph([1, 5, 1, 1, 1, 1])
         s = self._state_with(g, [0, 3, 5])
-        best, improved = region_search(s, s.cs.copy(), 2, 10, DescentConfig(), random.Random(1))
+        best, improved = region_search(s, s.cs.copy(), 2, 10, random.Random(1))
         assert improved
         assert 1 in best
         assert g.set_weight(best) > 3
@@ -102,7 +102,7 @@ class TestRegionSearch:
         s = self._state_with(g, list(range(250)))  # already optimal everywhere
         stats: dict = {}
         best, improved = region_search(
-            s, s.cs.copy(), 1, 5, DescentConfig(), random.Random(1), stats_out=stats
+            s, s.cs.copy(), 1, 5, random.Random(1), stats_out=stats
         )
         assert not improved
         # segment size is 2 for 250 members; every segment is fruitless, so the
@@ -116,7 +116,7 @@ class TestRegionSearch:
         s = SolutionState(g, list(range(0, 303, 2)))
         stats: dict = {}
         best, improved = region_search(
-            s, s.cs.copy(), 2, 10, DescentConfig(), random.Random(1), stats_out=stats
+            s, s.cs.copy(), 2, 10, random.Random(1), stats_out=stats
         )
         assert improved
         assert 1 in best
@@ -130,7 +130,7 @@ class TestRegionSearch:
             g = random_graph(rng, rng.randint(20, 120), 0.05)
             s = SolutionState(g, random_maximal_is(rng, g))
             best, improved = region_search(
-                s, s.cs.copy(), 2, 20, DescentConfig(), rng
+                s, s.cs.copy(), 2, 20, rng
             )
             s.check_invariants()
             assert g.is_independent(best)
