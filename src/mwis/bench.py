@@ -65,8 +65,11 @@ class InstanceSpec:
             raise ConfigError(f"instance {self.path}: unknown weight mode {self.weight_mode!r}")
         if self.weight_mode == "family-b" and self.weight_seed is None:
             raise ConfigError(f"instance {self.path}: family-b weights need a seed")
-        if self.time_limit <= 0:
+        # Negated comparisons so that NaN fails them too.
+        if not self.time_limit > 0:
             raise ConfigError(f"instance {self.path}: time_limit must be positive")
+        if not self.reduce_cap >= 0:
+            raise ConfigError(f"instance {self.path}: reduce_cap must be non-negative")
         if not self.name:
             self.name = Path(self.path).stem
 

@@ -126,7 +126,7 @@ def _cmd_exact(args) -> int:
     best, weight = brute_force_mwis(g)
     print(f"weight        {weight}")
     print(f"size          {len(best)}")
-    print("vertices      " + " ".join(str(ids[v]) for v in best.to_sorted()))
+    print("vertices      " + " ".join(str(ids[v]) for v in best))
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 from .reduction import _Reducer, resolve_trace
 
 # Exact integer evaluation is used up to this many terms of the degree series;
@@ -55,10 +55,10 @@ def density_radius(g: Graph) -> int:
     return level
 
 
-def greedy_construction(g: Graph) -> VertexSet:
+def greedy_construction(g: Graph) -> list[int]:
     """Maximal independent set by repeatedly taking the best weight/sqrt(degree)
     vertex of the shrinking graph (degree-zero vertices always win, ties go to
-    the smallest id).
+    the smallest id). Returns the vertices in pick order.
 
     The heap is lazily invalidated: an entry (-score, v, degree) is valid while
     v is alive at that degree. The vertices whose degree fell while one pick
@@ -76,13 +76,13 @@ def greedy_construction(g: Graph) -> VertexSet:
 
     heap = [(-score(v), v, degree[v]) for v in range(n)]
     heapq.heapify(heap)
-    chosen = VertexSet()
+    chosen: list[int] = []
     touched: set[int] = set()
     while heap:
         _, v, deg_at_push = heapq.heappop(heap)
         if not alive[v] or deg_at_push != degree[v]:
             continue  # stale entry; a fresh one is (or was) in the heap
-        chosen.add(v)
+        chosen.append(v)
         alive[v] = False
         for u in g.adjacency[v]:
             if alive[u]:
@@ -98,10 +98,11 @@ def greedy_construction(g: Graph) -> VertexSet:
     return chosen
 
 
-def reduction_construction(g: Graph) -> VertexSet:
+def reduction_construction(g: Graph) -> list[int]:
     """Maximal independent set for sparse graphs: exhaust the cheap reduction
     rules, and when they stall, permanently take the vertex with the best
     weight advantage over its neighborhood (ties go to the smallest id).
+    Returns the vertices in ascending order.
 
     The best vertex comes from a lazily invalidated heap keyed by
     (nbw - weight, id). Only the rules 0-2 run here, so the fold rule's dirty
@@ -129,7 +130,7 @@ def reduction_construction(g: Graph) -> VertexSet:
     return resolve_trace(red.trace, set(), g.n)
 
 
-def build_initial_solution(g: Graph, radius: int) -> VertexSet:
+def build_initial_solution(g: Graph, radius: int) -> list[int]:
     """Initial maximal independent set: reduction-guided for sparse graphs
     (radius > 2), greedy score-based otherwise."""
     if radius > 2:

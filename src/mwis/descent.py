@@ -6,9 +6,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Collection
 
 from .exchange import run_module_a
-from .graph import VertexSet
 from .perturb import pick_strategy, perturb_solution, sample_insertion_count
 from .state import SolutionState
 
@@ -19,24 +19,24 @@ BASE_CAP = 8  # ceiling of the perturbation floor
 
 def adaptive_descent(
     state: SolutionState,
-    best: VertexSet,
+    best: Collection[int],
     depth: int,
     rng: random.Random,
     deadline: float = math.inf,
     on_improve=None,
-) -> VertexSet:
+) -> dict[int, None]:
     """Refine the working solution until `depth` consecutive rounds bring no
     new best (depth -1 means the global budget M2).
 
     Each round runs the cheap exchange module, banks any new best, then
     perturbs. The perturbation floor grows by one every M1 stagnant rounds
     (capped at BASE_CAP) and resets on improvement. Returns the best set seen,
-    never worse than the one passed in.
+    never worse than the one passed in, as a new insertion-ordered dict.
     """
     if depth != -1 and depth < 1:
         raise ValueError("depth must be -1 or >= 1")
     g = state.g
-    best = best.copy()
+    best = dict.fromkeys(best)
     best_w = g.set_weight(best)
     budget = M2 if depth < 0 else depth
     state.uiter = 0

@@ -20,7 +20,6 @@ import time
 from enum import Enum
 from itertools import combinations
 
-from .graph import VertexSet
 from .perturb import pick_strategy, perturb_solution, sample_insertion_count
 from .state import SolutionState
 
@@ -55,7 +54,7 @@ def two_improvement_pass(state: SolutionState) -> bool:
     g = state.g
     weights = g.weights
     tightness = state.tightness
-    for v in state.cs.to_sorted():
+    for v in sorted(state.cs):
         wv = weights[v]
         cand = [u for u in g.adjacency[v] if u not in state.cs and tightness[u] == 1]
         if len(cand) < 2:
@@ -159,7 +158,7 @@ def two_three_pass(state: SolutionState) -> bool:
     weights = g.weights
     tight = state.tightness
     cs = state.cs
-    for u in cs.to_sorted():
+    for u in sorted(cs):
         for w in g.adjacency[u]:
             if w in cs or tight[w] != 2:
                 continue
@@ -186,14 +185,14 @@ def two_three_pass(state: SolutionState) -> bool:
 
 
 def _xy_pass(state: SolutionState, x: int, y: int) -> bool:
-    for v in state.cs.to_sorted():
+    for v in sorted(state.cs):
         if xy_exchange(state, v, x, y):
             return True
     return False
 
 
 def _x0_pass(state: SolutionState) -> bool:
-    for v in state.cs.to_sorted():
+    for v in sorted(state.cs):
         if x0_exchange(state, v):
             return True
     return False
@@ -274,11 +273,11 @@ def update_reward(table: RewardTable, module: int, outcome: Outcome) -> None:
 
 def composite_search(
     state: SolutionState,
-    best: VertexSet,
+    best: dict[int, None],
     rng: random.Random,
     deadline: float = math.inf,
     on_improve=None,
-) -> VertexSet:
+) -> dict[int, None]:
     """Reward-guided rounds of module A, a roulette-picked EM module, and
     module B on stagnant rounds. Ends once the reward sum falls back to its
     starting value after at least one full round. Returns the best set seen."""
@@ -321,11 +320,11 @@ def composite_search(
 
 def composite_search_loop(
     state: SolutionState,
-    best: VertexSet,
+    best: dict[int, None],
     deadline: float,
     rng: random.Random,
     on_improve=None,
-) -> VertexSet:
+) -> dict[int, None]:
     """Drive composite_search until the deadline, perturbing the working
     solution after rounds that fail to improve the best one."""
     g = state.g

@@ -6,7 +6,7 @@ suite; it is deliberately simple and bounded to small vertex counts.
 
 from __future__ import annotations
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 BRUTE_FORCE_LIMIT = 32
 
@@ -30,8 +30,9 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def brute_force_mwis(g: Graph) -> tuple[VertexSet, int]:
-    """Optimal independent set by branch and bound over bitmasks.
+def brute_force_mwis(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Optimal independent set, as an ascending vertex tuple, and its weight,
+    by branch and bound over bitmasks.
 
     Branches on the highest-degree remaining vertex with a weight-sum upper
     bound. Ties in optimal weight resolve to the lexicographically smallest
@@ -39,8 +40,6 @@ def brute_force_mwis(g: Graph) -> tuple[VertexSet, int]:
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return VertexSet(), 0
     adj_mask = _adjacency_masks(g)
     weights = g.weights
     best_weight = 0
@@ -78,5 +77,5 @@ def brute_force_mwis(g: Graph) -> tuple[VertexSet, int]:
         removed_w = sum(weights[u] for u in _mask_vertices(removed))
         stack.append((mask & ~removed, cur_w + weights[pick], cur_set | bit, remaining - removed_w))
 
-    return VertexSet(best_tuple), best_weight
+    return best_tuple, best_weight
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 RULE_NAMES = ("isolated", "degree_one", "neighborhood", "domination", "fold")
 
@@ -292,9 +293,9 @@ def identity_kernel(g: Graph) -> Kernel:
     return Kernel(graph=g, offset=0, trace=[], orig_map=list(range(g.n)), source_n=g.n)
 
 
-def resolve_trace(trace: list[tuple], members: set[int], source_n: int) -> VertexSet:
+def resolve_trace(trace: list[tuple], members: set[int], source_n: int) -> list[int]:
     """Replay a reduction trace in reverse, expanding `members` (working ids)
-    into an independent set of the original graph."""
+    into an independent set of the original graph, in ascending order."""
     s = set(members)
     for entry in reversed(trace):
         kind = entry[0]
@@ -316,11 +317,12 @@ def resolve_trace(trace: list[tuple], members: set[int], source_n: int) -> Verte
     for v in s:
         if v >= source_n:
             raise RuntimeError(f"unresolved fold vertex {v} survived trace replay")
-    return VertexSet(sorted(s))
+    return sorted(s)
 
 
-def lift_solution(kernel: Kernel, kernel_solution: VertexSet) -> VertexSet:
-    """Map an independent set of the kernel to one of the original graph.
+def lift_solution(kernel: Kernel, kernel_solution: Iterable[int]) -> list[int]:
+    """Map an independent set of the kernel to one of the original graph,
+    returned in ascending order.
 
     The lifted set's weight in the original graph equals the kernel solution
     weight plus the kernel offset. Raises ValueError if the input is not an

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .descent import adaptive_descent
-from .graph import Graph, VertexSet, induced_subgraph
+from .graph import Graph, induced_subgraph
 from .state import SolutionState
 
 
@@ -22,14 +23,12 @@ from .state import SolutionState
 class LocalGraph:
     graph: Graph
     to_global: list[int]
-    to_local: dict[int, int]
-    center: int
     radius: int
-    solu1: VertexSet  # local ids of global-solution members inside the region
+    solu1: list[int]  # local ids of global-solution members inside the region
 
 
 def build_local_graph(
-    g: Graph, cs: VertexSet, center: int, radius: int, max_size: int | None = None
+    g: Graph, cs: Container[int], center: int, radius: int, max_size: int | None = None
 ) -> LocalGraph:
     """Region of BFS radius `radius` around `center`, excluding boundary
     vertices adjacent to solution vertices one level further out.
@@ -81,27 +80,22 @@ def build_local_graph(
             members.extend(levels[lvl])
 
     sub, old_to_new, new_to_old = induced_subgraph(g, members)
-    inside_solution = VertexSet(
-        old_to_new[u] for u in new_to_old if u in cs
-    )
     return LocalGraph(
         graph=sub,
         to_global=new_to_old,
-        to_local=old_to_new,
-        center=center,
         radius=effective,
-        solu1=inside_solution,
+        solu1=[old_to_new[u] for u in new_to_old if u in cs],
     )
 
 
-def _greedy_by_weight(g: Graph) -> VertexSet:
+def _greedy_by_weight(g: Graph) -> list[int]:
     order = sorted(range(g.n), key=lambda v: (-g.weights[v], v))
     blocked = [False] * g.n
-    chosen = VertexSet()
+    chosen: list[int] = []
     for v in order:
         if blocked[v]:
             continue
-        chosen.add(v)
+        chosen.append(v)
         blocked[v] = True
         for u in g.adjacency[v]:
             blocked[u] = True
@@ -110,14 +104,14 @@ def _greedy_by_weight(g: Graph) -> VertexSet:
 
 def region_search(
     state: SolutionState,
-    best: VertexSet,
+    best: dict[int, None],
     radius_base: int,
     search_depth: int,
     rng: random.Random,
     deadline: float = math.inf,
     on_improve=None,
     stats_out: dict | None = None,
-) -> tuple[VertexSet, bool]:
+) -> tuple[dict[int, None], bool]:
     """Run bounded descents inside regions centered on the least-visited
     solution vertices, splicing every strict improvement into both the working
     and the best solution. Expects the working solution to equal `best`.

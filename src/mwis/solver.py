@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .construct import build_initial_solution, density_radius
 from .descent import adaptive_descent
 from .exchange import composite_search, composite_search_loop
-from .graph import Graph, VertexSet
+from .graph import Graph
 from .reduction import Kernel, identity_kernel, lift_solution, reduce_graph
 from .region import region_search
 from .state import SolutionState
@@ -31,8 +31,11 @@ class SolverConfig:
     no_reduce: bool = False
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        # Negated comparisons so that NaN fails them too.
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
+        if not self.reduce_cap >= 0:
+            raise ValueError("reduce_cap must be non-negative")
 
 
 @dataclass
@@ -75,7 +78,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
     iterations = 0
     if kg.n == 0:
-        best_kernel = VertexSet()
+        best_kernel: dict[int, None] = {}
         note(0)
     else:
         radius = density_radius(kg)
@@ -104,8 +107,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
             note(polish.cs_weight)
         best_kernel = best
 
-    lifted = lift_solution(kernel, best_kernel)
-    members = lifted.to_sorted()
+    members = lift_solution(kernel, best_kernel)
     if not g.is_independent(members):
         raise RuntimeError("internal error: lifted solution is not independent")
     weight = g.set_weight(members)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 
 class _SamplePool:
@@ -70,25 +70,23 @@ class SolutionState:
         """Set the solution to `members` (already checked independent) and
         recompute its weight, tightness, neighbor weights and vertex pools."""
         g = self.g
-        self.cs = VertexSet()
-        self.cs_weight = 0
+        # Insertion-ordered: copies of it come back as `members` through
+        # reset_solution(best), and members leave the swap-remove sampling
+        # pool in their order, which fixes what its seeded draws return.
+        self.cs: dict[int, None] = dict.fromkeys(members)
+        self.cs_weight = g.set_weight(self.cs)
         self.tightness = [0] * g.n
         # Weight of solution neighbors; loss(v) = nb_weight[v] - weight[v].
         self.nb_weight = [0] * g.n
-        self.free = VertexSet()
         self.non_cs = _SamplePool(g.n, range(g.n))
-        for v in members:
-            self.cs.add(v)
-            self.cs_weight += g.weights[v]
+        for v in self.cs:
             self.non_cs.discard(v)
-        for v in members:
             wv = g.weights[v]
             for u in g.adjacency[v]:
                 self.tightness[u] += 1
                 self.nb_weight[u] += wv
-        for v in range(g.n):
-            if v not in self.cs and self.tightness[v] == 0:
-                self.free.add(v)
+        # Order-free: only probed, sized, and heapified under unique keys.
+        self.free = {v for v in range(g.n) if v not in self.cs and self.tightness[v] == 0}
 
     # -- derived quantities --------------------------------------------------
 
@@ -112,7 +110,7 @@ class SolutionState:
         if self.tightness[v] != 0:
             raise ValueError(f"vertex {v} is not free (tightness {self.tightness[v]})")
         g = self.g
-        self.cs.add(v)
+        self.cs[v] = None
         self.cs_weight += g.weights[v]
         self.non_cs.discard(v)
         self.free.discard(v)
@@ -128,7 +126,7 @@ class SolutionState:
         if v not in self.cs:
             raise ValueError(f"vertex {v} not in the solution")
         g = self.g
-        self.cs.remove(v)
+        del self.cs[v]
         self.cs_weight -= g.weights[v]
         self.non_cs.add(v)
         wv = g.weights[v]
@@ -141,18 +139,16 @@ class SolutionState:
             self.free.add(v)
         self._visit(v, -1)
 
-    def insert_with_removal(self, v: int) -> VertexSet:
+    def insert_with_removal(self, v: int) -> list[int]:
         """Force v into the solution, evicting its solution neighbors.
 
-        Returns the evicted set. The net weight change equals the negated
-        loss of v evaluated before the call.
+        Returns the evicted vertices in adjacency order. The net weight change
+        equals the negated loss of v evaluated before the call.
         """
-        if v in self.cs:
+        cs = self.cs
+        if v in cs:
             raise ValueError(f"vertex {v} already in the solution")
-        removed = VertexSet()
-        for u in self.g.adjacency[v]:
-            if u in self.cs:
-                removed.add(u)
+        removed = [u for u in self.g.adjacency[v] if u in cs]
         for u in removed:
             self.remove_vertex(u)
         self.add_vertex(v)

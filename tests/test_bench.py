@@ -83,6 +83,15 @@ class TestInstanceSpec:
         with pytest.raises(ConfigError):
             InstanceSpec(path="x", time_limit=0)
 
+    def test_nan_time_limit(self):
+        with pytest.raises(ConfigError):
+            InstanceSpec(path="x", time_limit=float("nan"))
+
+    @pytest.mark.parametrize("cap", [-1.0, float("nan")])
+    def test_bad_reduce_cap(self, cap):
+        with pytest.raises(ConfigError):
+            InstanceSpec(path="x", reduce_cap=cap)
+
 
 class TestRunBenchmark:
     def test_rows_per_seed_plus_summary(self, p3_file):

@@ -77,6 +77,15 @@ class TestSolveCommand:
         code = main(["solve", p3_file, "--time-limit", "-1"])
         assert code == EXIT_CONFIG
 
+    def test_nan_time_limit_is_config_error(self, p3_file):
+        assert main(["solve", p3_file, "--time-limit", "nan"]) == EXIT_CONFIG
+
+    def test_negative_reduce_cap_is_config_error(self, p3_file):
+        assert main(["solve", p3_file, "--reduce-cap", "-1"]) == EXIT_CONFIG
+
+    def test_nan_reduce_cap_is_config_error(self, p3_file):
+        assert main(["solve", p3_file, "--reduce-cap", "nan"]) == EXIT_CONFIG
+
 
 class TestExactCommand:
     def test_exact_solve(self, p3_file, capsys):

@@ -54,15 +54,15 @@ class TestDensityRadius:
 
 class TestGreedyConstruction:
     def test_path_takes_heavy_middle(self):
-        assert greedy_construction(p3_151()) == {1}
+        assert set(greedy_construction(p3_151())) == {1}
 
     def test_star_center_wins_on_score(self):
         g = star_graph(10, [1, 1, 1])
-        assert greedy_construction(g) == {0}
+        assert set(greedy_construction(g)) == {0}
 
     def test_edgeless_takes_all(self):
         g = edgeless_graph([1, 2, 3])
-        assert greedy_construction(g) == {0, 1, 2}
+        assert set(greedy_construction(g)) == {0, 1, 2}
 
     def test_output_is_maximal_independent(self):
         rng = random.Random(11)
@@ -90,21 +90,21 @@ class TestGreedyConstruction:
 
 class TestReductionConstruction:
     def test_path_optimal(self):
-        assert reduction_construction(p3_151()) == {1}
+        assert set(reduction_construction(p3_151())) == {1}
 
     def test_cycle_optimal(self):
-        assert reduction_construction(c4_3131()) == {0, 2}
+        assert set(reduction_construction(c4_3131())) == {0, 2}
 
     def test_edgeless_takes_all(self):
         g = edgeless_graph([4, 4])
-        assert reduction_construction(g) == {0, 1}
+        assert set(reduction_construction(g)) == {0, 1}
 
     def test_beats_greedy_on_heavy_leaf_star(self):
         # Center 5 vs four leaves of 2: greedy scores favor the center (2.5
         # against 2.0) but the leaves together weigh 8.
         g = star_graph(5, [2, 2, 2, 2])
-        assert greedy_construction(g) == {0}
-        assert reduction_construction(g) == {1, 2, 3, 4}
+        assert set(greedy_construction(g)) == {0}
+        assert set(reduction_construction(g)) == {1, 2, 3, 4}
 
     def test_output_is_maximal_independent(self):
         rng = random.Random(17)
@@ -142,8 +142,8 @@ class TestBuildInitialSolution:
 
     def test_path_optimal_either_way(self):
         g = p3_151()
-        assert build_initial_solution(g, 0) == {1}
-        assert build_initial_solution(g, 9) == {1}
+        assert set(build_initial_solution(g, 0)) == {1}
+        assert set(build_initial_solution(g, 9)) == {1}
 
 
 def test_construction_quality_floor():

@@ -11,13 +11,13 @@ from util import p3_151, random_graph
 def test_path_descends_to_optimum():
     s = SolutionState(p3_151(), [0, 2])
     best = adaptive_descent(s, s.cs.copy(), -1, random.Random(1))
-    assert best == {1}
+    assert set(best) == {1}
 
 
 def test_depth_one_attempts_exactly_one_perturbation():
     s = SolutionState(p3_151(), [1])  # already locally optimal for module A
     best = adaptive_descent(s, s.cs.copy(), 1, random.Random(1))
-    assert best == {1}
+    assert set(best) == {1}
     assert s.iter == 1  # one perturbation round ran before the budget tripped
     assert sum(s.freq) > 0
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mwis import build_graph, induced_subgraph
-from mwis.graph import VertexSet
+from mwis import VertexSet, build_graph
+from mwis.graph import induced_subgraph
 
 from util import c4_3131, p3_151, random_graph
 
@@ -84,21 +84,7 @@ class TestInducedSubgraph:
                 assert back == expected
 
 
-class TestVertexSet:
-    def test_insertion_order_iteration(self):
-        s = VertexSet([5, 1, 3])
-        s.add(2)
-        s.discard(1)
-        assert list(s) == [5, 3, 2]
-
-    def test_no_duplicates(self):
-        s = VertexSet([1, 1, 2])
-        s.add(2)
-        assert len(s) == 2
-
-    def test_copy_is_independent(self):
-        s = VertexSet([1, 2])
-        t = s.copy()
-        t.add(3)
-        assert 3 not in s
-
+def test_vertexset_is_an_insertion_ordered_dict():
+    s = VertexSet([5, 1, 3, 1])
+    assert type(s) is dict
+    assert list(s) == [5, 1, 3]

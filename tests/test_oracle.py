@@ -10,32 +10,32 @@ from util import c4_3131, edgeless_graph, exhaustive_mwis, p3_151, random_graph
 def test_path_optimum():
     best, weight = brute_force_mwis(p3_151())
     assert weight == 5
-    assert best == {1}
+    assert set(best) == {1}
 
 
 def test_cycle_optimum():
     best, weight = brute_force_mwis(c4_3131())
     assert weight == 6
-    assert best == {0, 2}
+    assert set(best) == {0, 2}
 
 
 def test_edgeless_takes_everything():
     best, weight = brute_force_mwis(edgeless_graph([1, 2, 3]))
     assert weight == 6
-    assert best == {0, 1, 2}
+    assert set(best) == {0, 1, 2}
 
 
 def test_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)], [1, 2, 3])
     best, weight = exhaustive_mwis(g)
     assert weight == 3
-    assert best == {2}
+    assert set(best) == {2}
 
 
 def test_empty_graph():
     g = build_graph(0, [], [])
-    assert exhaustive_mwis(g) == (set(), 0)
-    assert brute_force_mwis(g) == (set(), 0)
+    assert exhaustive_mwis(g) == ((), 0)
+    assert brute_force_mwis(g) == ((), 0)
 
 
 def test_brute_force_guard():
@@ -56,7 +56,7 @@ def test_lexicographic_tie_break():
     bset, bw = brute_force_mwis(g)
     eset, ew = exhaustive_mwis(g)
     assert bw == ew == 10
-    assert bset == eset == {0, 2}
+    assert set(bset) == set(eset) == {0, 2}
 
 
 def test_oracles_agree_on_random_corpus():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mwis import SolutionState, VertexSet, build_graph, build_local_graph, region_search
+from mwis import SolutionState, build_graph, build_local_graph, region_search
 
 from util import edgeless_graph, path_graph, random_graph, random_maximal_is
 
@@ -12,29 +12,29 @@ class TestBuildLocalGraph:
         # P6 with solution {0, 3, 5}: radius 1 around vertex 1 keeps {0, 1};
         # vertex 2 is cut because solution vertex 3 sits one level further out.
         g = path_graph([1] * 6)
-        cs = VertexSet([0, 3, 5])
+        cs = {0, 3, 5}
         region = build_local_graph(g, cs, 1, 1)
         assert sorted(region.to_global) == [0, 1]
         assert {region.to_global[v] for v in region.solu1} == {0}
 
     def test_isolated_center(self):
         g = edgeless_graph([1, 1, 1])
-        region = build_local_graph(g, VertexSet([0]), 0, 5)
+        region = build_local_graph(g, {0}, 0, 5)
         assert region.to_global == [0]
         assert {region.to_global[v] for v in region.solu1} == {0}
 
     def test_radius_beyond_component_takes_whole_component(self):
         g = path_graph([1] * 4)
-        region = build_local_graph(g, VertexSet(), 0, 10)
+        region = build_local_graph(g, set(), 0, 10)
         assert sorted(region.to_global) == [0, 1, 2, 3]
 
     def test_rejects_zero_radius(self):
         with pytest.raises(ValueError):
-            build_local_graph(path_graph([1, 1]), VertexSet(), 0, 0)
+            build_local_graph(path_graph([1, 1]), set(), 0, 0)
 
     def test_size_cap_shrinks_radius(self):
         g = path_graph([1] * 50)
-        region = build_local_graph(g, VertexSet(), 25, 20, max_size=9)
+        region = build_local_graph(g, set(), 25, 20, max_size=9)
         assert region.radius < 20
         assert len(region.to_global) <= 11
 
@@ -43,7 +43,7 @@ class TestBuildLocalGraph:
         rng = random.Random(404)
         for _ in range(150):
             g = random_graph(rng, rng.randint(2, 60), rng.choice([0.05, 0.1, 0.2]))
-            cs = VertexSet(random_maximal_is(rng, g))
+            cs = set(random_maximal_is(rng, g))
             center = rng.randrange(g.n)
             region = build_local_graph(g, cs, center, rng.randint(1, 4))
             inside = set(region.to_global)
@@ -58,7 +58,7 @@ class TestBuildLocalGraph:
         rng = random.Random(505)
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 40), 0.15)
-            cs = VertexSet(random_maximal_is(rng, g))
+            cs = set(random_maximal_is(rng, g))
             center = rng.randrange(g.n)
             radius = rng.randint(1, 3)
             region = build_local_graph(g, cs, center, radius)

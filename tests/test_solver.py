@@ -113,6 +113,15 @@ def test_time_limit_validation():
         SolverConfig(time_limit=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("time_limit", float("nan")), ("reduce_cap", -1.0), ("reduce_cap", float("nan"))],
+)
+def test_nan_and_negative_limits_rejected(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
+
+
 def test_default_config_used_when_none():
     # explicit tiny graph so the default 1000 s limit exits via full reduction
     r = solve(p3_151())

@@ -7,7 +7,7 @@ import math
 import random
 import time
 
-from mwis import Graph, VertexSet, build_graph
+from mwis import Graph, build_graph
 from mwis.oracle import _adjacency_masks, _mask_vertices
 from mwis.reduction import RULE_NAMES, Kernel, resolve_trace
 
@@ -88,12 +88,12 @@ def cycle_mwis_weight(weights: list[int]) -> int:
     return max(without_v0, with_v0)
 
 
-def exhaustive_mwis(g: Graph) -> tuple[VertexSet, int]:
+def exhaustive_mwis(g: Graph) -> tuple[tuple[int, ...], int]:
     """Optimal independent set by enumerating every subset. Guarded to n <= 20."""
     if g.n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive search limited to {EXHAUSTIVE_LIMIT} vertices, got {g.n}")
     if g.n == 0:
-        return VertexSet(), 0
+        return (), 0
     adj_mask = _adjacency_masks(g)
     weights = g.weights
     total = 1 << g.n
@@ -117,7 +117,7 @@ def exhaustive_mwis(g: Graph) -> tuple[VertexSet, int]:
                 cand = _mask_vertices(mask)
                 if cand < best_tuple:
                     best_tuple = cand
-    return VertexSet(best_tuple), best_weight
+    return best_tuple, best_weight
 
 
 def all_pairs_bfs(g: Graph) -> list[list[int]]:
@@ -367,7 +367,7 @@ class ReferenceReducer:
         )
 
 
-def reference_reduction_construction(g: Graph) -> VertexSet:
+def reference_reduction_construction(g: Graph) -> list[int]:
     """Quadratic reference for `reduction_construction`: after the cheap rules
     stall, rescan every alive vertex for the largest weight - nbw gap (ties
     go to the smallest id) and take it."""
@@ -389,7 +389,7 @@ def reference_reduction_construction(g: Graph) -> VertexSet:
     return resolve_trace(red.trace, set(), g.n)
 
 
-def reference_greedy_construction(g: Graph) -> VertexSet:
+def reference_greedy_construction(g: Graph) -> list[int]:
     """Reference for `greedy_construction` that pushes a fresh heap entry on
     every single degree decrement (O(m) pushes) instead of once per touched
     vertex after each pick."""
@@ -404,12 +404,12 @@ def reference_greedy_construction(g: Graph) -> VertexSet:
 
     heap = [(-score(v), v, degree[v]) for v in range(n)]
     heapq.heapify(heap)
-    chosen = VertexSet()
+    chosen: list[int] = []
     while heap:
         _, v, deg_at_push = heapq.heappop(heap)
         if not alive[v] or deg_at_push != degree[v]:
             continue
-        chosen.add(v)
+        chosen.append(v)
         alive[v] = False
         for u in g.adjacency[v]:
             if alive[u]:
