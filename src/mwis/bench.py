@@ -8,10 +8,10 @@ import json
 import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .formats import ParseError, load_graph
+from .formats import check_source, load_graph
 from .graph import Graph
 from .solver import SolverConfig, solve
 
@@ -19,8 +19,15 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ["instance", "n", "m", "kernel_n", "kernel_m", "seed", "weight", "time_to_best"]
 
-FORMATS = ("metis", "edgelist")
-WEIGHT_MODES = ("file", "family-a", "family-b")
+# Spec keys by JSON type. Types are matched exactly, because Python reads a
+# JSON boolean as a bool, which is also an int.
+SPEC_TYPES = [
+    ("string", (str,), ("path", "name", "format", "weights")),
+    ("list", (list,), ("seeds",)),
+    ("number", (int, float), ("time_limit", "reduce_cap")),
+    ("boolean", (bool,), ("no_reduce",)),
+]
+SOLVER_KEYS = ("time_limit", "reduce_cap", "no_reduce")  # SolverConfig fields
 
 
 class ConfigError(ValueError):
@@ -30,18 +37,12 @@ class ConfigError(ValueError):
 def parse_weight_mode(text: str) -> tuple[str, int | None]:
     """Split a weight-mode string like "family-b:7" into (mode, seed)."""
     mode, sep, seed_text = text.partition(":")
-    if mode not in WEIGHT_MODES:
-        raise ConfigError(f"unknown weight mode {text!r} (expected one of {WEIGHT_MODES})")
-    if mode == "family-b":
-        if not sep:
-            raise ConfigError("family-b weights need a seed, e.g. 'family-b:1'")
-        try:
-            return mode, int(seed_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad family-b seed {seed_text!r}") from exc
-    if sep:
-        raise ConfigError(f"weight mode {mode!r} takes no seed")
-    return mode, None
+    try:
+        seed = int(seed_text) if sep else None
+        check_source(weight_mode=mode, weight_seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"weights {text!r}: {exc}") from exc
+    return mode, seed
 
 
 @dataclass
@@ -51,25 +52,16 @@ class InstanceSpec:
     weight_mode: str = "file"
     weight_seed: int | None = None
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    time_limit: float = 1000.0
-    no_reduce: bool = False
-    reduce_cap: float = 200.0
+    config: SolverConfig = field(default_factory=SolverConfig)  # its seed is set per run
     name: str = ""
 
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError(f"instance {self.path}: seeds must be nonempty")
-        if self.fmt not in FORMATS:
-            raise ConfigError(f"instance {self.path}: unknown format {self.fmt!r}")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(f"instance {self.path}: unknown weight mode {self.weight_mode!r}")
-        if self.weight_mode == "family-b" and self.weight_seed is None:
-            raise ConfigError(f"instance {self.path}: family-b weights need a seed")
-        # Negated comparisons so that NaN fails them too.
-        if not self.time_limit > 0:
-            raise ConfigError(f"instance {self.path}: time_limit must be positive")
-        if not self.reduce_cap >= 0:
-            raise ConfigError(f"instance {self.path}: reduce_cap must be non-negative")
+        try:
+            check_source(self.fmt, self.weight_mode, self.weight_seed)
+        except ValueError as exc:
+            raise ConfigError(f"instance {self.path}: {exc}") from exc
         if not self.name:
             self.name = Path(self.path).stem
 
@@ -79,16 +71,25 @@ class InstanceSpec:
         merged.update(entry)
         if "path" not in merged:
             raise ConfigError("instance entry missing 'path'")
-        mode, seed = parse_weight_mode(merged.get("weights", "file"))
+        where = f"instance {merged['path']}"
+        for kind, types, keys in SPEC_TYPES:
+            for key in keys:
+                if key in merged and type(merged[key]) not in types:
+                    raise ConfigError(f"{where}: {key} must be a JSON {kind}")
+        if any(type(seed) is not int for seed in merged.get("seeds", [])):
+            raise ConfigError(f"{where}: seeds must be integers")
+        try:
+            config = SolverConfig(**{key: merged[key] for key in SOLVER_KEYS if key in merged})
+            mode, seed = parse_weight_mode(merged.get("weights", "file"))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         return cls(
             path=merged["path"],
             fmt=merged.get("format", "metis"),
             weight_mode=mode,
             weight_seed=seed,
             seeds=list(merged.get("seeds", [1, 2, 3, 4, 5])),
-            time_limit=float(merged.get("time_limit", 1000.0)),
-            no_reduce=bool(merged.get("no_reduce", False)),
-            reduce_cap=float(merged.get("reduce_cap", 200.0)),
+            config=config,
             name=merged.get("name", ""),
         )
 
@@ -110,6 +111,8 @@ def load_bench_spec(text: str) -> list[InstanceSpec]:
         entries = data
     else:
         raise ConfigError("benchmark spec must be a JSON list or object")
+    if not all(isinstance(e, dict) for e in [defaults, *entries]):
+        raise ConfigError("benchmark spec defaults and instance entries must be JSON objects")
     return [InstanceSpec.from_dict(e, defaults) for e in entries]
 
 
@@ -133,72 +136,55 @@ class BenchRow:
     error: str | None = None
 
 
-def _run_seed(spec: InstanceSpec, g: Graph, seed: int) -> tuple[SeedRun, int, int]:
-    cfg = SolverConfig(
-        time_limit=spec.time_limit,
-        seed=seed,
-        no_reduce=spec.no_reduce,
-        reduce_cap=spec.reduce_cap,
-    )
-    result = solve(g, cfg)  # raises unless the solution verifies against g
-    return SeedRun(seed, result.best_weight, result.time_to_best), result.kernel_n, result.kernel_m
-
-
-def _pool_job(args: tuple) -> tuple[int, int, SeedRun, int, int]:
-    spec_index, seed_index, spec = args
-    g, _ = load_graph(spec.path, spec.fmt, spec.weight_mode, spec.weight_seed)
-    run, kn, km = _run_seed(spec, g, spec.seeds[seed_index])
-    return spec_index, seed_index, run, kn, km
+def csv_row(row: BenchRow, run: SeedRun) -> list:
+    """The CSV data row of one run, in CSV_HEADER order."""
+    return [
+        row.instance, row.n, row.m, row.kernel_n, row.kernel_m,
+        run.seed, run.weight, f"{run.time_to_best:.3f}",
+    ]
 
 
 def run_benchmark(specs: list[InstanceSpec], out, workers: int = 1) -> list[BenchRow]:
-    """Solve every (instance, seed) job, stream CSV rows to `out`, and return
-    one aggregated row per instance. Unreadable instances produce an N/A row
-    and the run continues."""
+    """Solve every (instance, seed) job, write CSV rows to `out`, and return
+    one aggregated row per instance. Rows follow spec order and, within an
+    instance, the order of its seeds, for any number of workers. Unreadable
+    instances produce an N/A row and the run continues."""
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     rows: list[BenchRow] = []
-    runnable: list[tuple[int, InstanceSpec, Graph]] = []
-    for i, spec in enumerate(specs):
+    owners: list[BenchRow] = []  # the row of each job
+    graphs: list[Graph] = []
+    configs: list[SolverConfig] = []
+    for spec in specs:
         row = BenchRow(instance=spec.name)
         rows.append(row)
         try:
             g, _ = load_graph(spec.path, spec.fmt, spec.weight_mode, spec.weight_seed)
-        except (OSError, ParseError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # ParseError is a ValueError
             log.warning("instance %s unreadable: %s", spec.name, exc)
             row.error = str(exc)
             continue
         row.n, row.m = g.n, g.m
-        runnable.append((i, spec, g))
+        for seed in spec.seeds:
+            owners.append(row)
+            graphs.append(g)
+            configs.append(replace(spec.config, seed=seed))
 
+    # solve raises unless its solution verifies against the graph.
     if workers > 1:
-        jobs = [
-            (i, s, specs[i])
-            for i, spec, _ in runnable
-            for s, _ in enumerate(spec.seeds)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, s, run, kn, km in pool.map(_pool_job, jobs):
-                rows[i].runs.append(run)
-                rows[i].kernel_n, rows[i].kernel_m = kn, km
-            for row in rows:
-                row.runs.sort(key=lambda r: r.seed)
+            results = list(pool.map(solve, graphs, configs))
     else:
-        for i, spec, g in runnable:
-            for seed in spec.seeds:
-                run, kn, km = _run_seed(spec, g, seed)
-                rows[i].runs.append(run)
-                rows[i].kernel_n, rows[i].kernel_m = kn, km
+        results = map(solve, graphs, configs)
+    for row, cfg, result in zip(owners, configs, results):
+        row.runs.append(SeedRun(cfg.seed, result.best_weight, result.time_to_best))
+        row.kernel_n, row.kernel_m = result.kernel_n, result.kernel_m
 
     for row in rows:
         if row.error is not None:
             writer.writerow([row.instance] + ["N/A"] * (len(CSV_HEADER) - 1))
             continue
-        for run in row.runs:
-            writer.writerow(
-                [row.instance, row.n, row.m, row.kernel_n, row.kernel_m,
-                 run.seed, run.weight, f"{run.time_to_best:.3f}"]
-            )
+        writer.writerows(csv_row(row, run) for run in row.runs)
         row.max_w = max(r.weight for r in row.runs)
         row.avg_w = statistics.fmean(r.weight for r in row.runs)
     return rows
@@ -211,21 +197,9 @@ def summarize(rows: list[BenchRow]) -> dict:
         if row.error is not None:
             instances.append({"instance": row.instance, "error": row.error})
             continue
-        instances.append(
-            {
-                "instance": row.instance,
-                "n": row.n,
-                "m": row.m,
-                "kernel_n": row.kernel_n,
-                "kernel_m": row.kernel_m,
-                "max_w": row.max_w,
-                "avg_w": row.avg_w,
-                "runs": [
-                    {"seed": r.seed, "weight": r.weight, "time_to_best": r.time_to_best}
-                    for r in row.runs
-                ],
-            }
-        )
+        record = asdict(row)
+        del record["error"]
+        instances.append(record)
     return {"instances": instances, "count": len(rows)}
 
 

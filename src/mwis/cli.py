@@ -8,6 +8,7 @@ logging level; everything else is flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -16,14 +17,17 @@ from pathlib import Path
 
 from .bench import (
     CSV_HEADER,
+    BenchRow,
     ConfigError,
+    SeedRun,
+    csv_row,
     load_bench_spec,
     parse_weight_mode,
     render_report,
     run_benchmark,
     summarize,
 )
-from .formats import ParseError, load_graph
+from .formats import FORMATS, ParseError, load_graph
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_mwis
 from .solver import SolverConfig, solve
 
@@ -34,7 +38,8 @@ EXIT_CONFIG = 3
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="graph file")
-    p.add_argument("--format", choices=("metis", "edgelist"), default="metis")
+    # Checked by load_graph, so an unknown format exits like any bad configuration.
+    p.add_argument("--format", default="metis", help=" | ".join(FORMATS) + " (default: metis)")
     p.add_argument(
         "--weights",
         default="file",
@@ -48,10 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the local-search solver on one instance")
     _add_instance_args(p_solve)
-    p_solve.add_argument("--time-limit", type=float, default=1000.0, metavar="S")
-    p_solve.add_argument("--seed", type=int, default=1)
+    p_solve.add_argument("--time-limit", type=float, default=SolverConfig.time_limit, metavar="S")
+    p_solve.add_argument("--seed", type=int, default=SolverConfig.seed)
     p_solve.add_argument("--no-reduce", action="store_true", help="skip kernelization")
-    p_solve.add_argument("--reduce-cap", type=float, default=200.0, metavar="S")
+    p_solve.add_argument("--reduce-cap", type=float, default=SolverConfig.reduce_cap, metavar="S")
     fmt_group = p_solve.add_mutually_exclusive_group()
     fmt_group.add_argument("--json", action="store_true", help="emit the full result as JSON")
     fmt_group.add_argument("--csv", action="store_true", help="emit one CSV row")
@@ -102,11 +107,10 @@ def _cmd_solve(args) -> int:
             )
         )
     elif args.csv:
-        print(",".join(CSV_HEADER))
-        print(
-            f"{name},{g.n},{g.m},{result.kernel_n},{result.kernel_m},"
-            f"{cfg.seed},{result.best_weight},{result.time_to_best:.3f}"
-        )
+        writer = csv.writer(sys.stdout)
+        writer.writerow(CSV_HEADER)
+        row = BenchRow(name, g.n, g.m, result.kernel_n, result.kernel_m)
+        writer.writerow(csv_row(row, SeedRun(cfg.seed, result.best_weight, result.time_to_best)))
     else:
         print(f"instance      {name}")
         print(f"vertices      {g.n}")

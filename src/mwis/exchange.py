@@ -96,7 +96,7 @@ def xy_exchange(state: SolutionState, v: int, x: int, y: int) -> bool:
     ones = _candidates(state, v, 1)
     if len(ones) < x:
         return False
-    twos = _candidates(state, v, 2) if y else []
+    twos = _candidates(state, v, 2)
     if len(twos) < y:
         return False
     # Optimistic bound: heaviest candidates against the guaranteed eviction of v.
@@ -104,10 +104,10 @@ def xy_exchange(state: SolutionState, v: int, x: int, y: int) -> bool:
     if optimistic <= weights[v]:
         return False
 
-    for cx in combinations(ones, x) if x else ((),):
+    for cx in combinations(ones, x):
         if any(g.has_edge(a, b) for a, b in combinations(cx, 2)):
             continue
-        for cy in combinations(twos, y) if y else ((),):
+        for cy in combinations(twos, y):
             if any(g.has_edge(a, b) for a, b in combinations(cy, 2)):
                 continue
             if any(g.has_edge(a, b) for a in cx for b in cy):

@@ -13,6 +13,8 @@ from .graph import Graph, build_graph, replace_weights
 log = logging.getLogger(__name__)
 
 WEIGHT_RANGE = 200  # both weight families produce weights in [1, 200]
+FORMATS = ("metis", "edgelist")
+WEIGHT_MODES = ("file", "family-a", "family-b")
 
 
 class ParseError(ValueError):
@@ -168,12 +170,29 @@ def parse_edgelist(text: str) -> tuple[Graph, list[int]]:
     return build_graph(n, edges, [1] * n), ids
 
 
+def check_source(
+    fmt: str = "metis", weight_mode: str = "file", weight_seed: int | None = None
+) -> None:
+    """Raise ValueError unless `fmt` is one of FORMATS, `weight_mode` one of
+    WEIGHT_MODES, and a weight seed is given exactly when the mode is family-b."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")
+    if weight_mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown weight mode {weight_mode!r} (expected one of {WEIGHT_MODES})")
+    if weight_mode == "family-b" and weight_seed is None:
+        raise ValueError("family-b weights need a seed, e.g. 'family-b:1'")
+    if weight_mode != "family-b" and weight_seed is not None:
+        raise ValueError(f"weight mode {weight_mode!r} takes no seed")
+
+
 def load_graph(
     path: str, fmt: str = "metis", weight_mode: str = "file", weight_seed: int | None = None
 ) -> tuple[Graph, list[int]]:
     """Read and parse a graph file ("metis" or "edgelist"), then apply the
     weight mode: "file" keeps the parsed weights, "family-a" keys them to the
-    original ids, "family-b" draws them from `weight_seed`."""
+    original ids, "family-b" draws them from `weight_seed`. Arguments that
+    `check_source` rejects raise ValueError before the file is read."""
+    check_source(fmt, weight_mode, weight_seed)
     text = Path(path).read_text()
     g, ids = parse_metis(text) if fmt == "metis" else parse_edgelist(text)
     if weight_mode == "family-a":

@@ -26,9 +26,6 @@ class Graph:
         self.weights = weights
         self.m = m
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         adj = self.adjacency[u]
         if len(self.adjacency[v]) < len(adj):
@@ -101,7 +98,6 @@ def induced_subgraph(
     m = 0
     for old in new_to_old:
         row = [old_to_new[u] for u in g.adjacency[old] if u in old_to_new]
-        row.sort()
         m += len(row)
         adjacency.append(row)
     weights = [g.weights[old] for old in new_to_old]

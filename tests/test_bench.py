@@ -14,6 +14,7 @@ from mwis.bench import (
     run_benchmark,
     summarize,
 )
+from mwis.solver import SolverConfig
 
 P3_METIS = "3 2 10\n1 2\n5 1 3\n1 2\n"
 
@@ -58,7 +59,7 @@ class TestInstanceSpec:
                 }
             )
         )
-        assert specs[0].time_limit == 0.5
+        assert specs[0].config.time_limit == 0.5
         assert specs[0].seeds == [1, 2]
         assert specs[1].seeds == [9]
         assert specs[0].name == "a"
@@ -81,21 +82,68 @@ class TestInstanceSpec:
 
     def test_bad_time_limit(self):
         with pytest.raises(ConfigError):
-            InstanceSpec(path="x", time_limit=0)
+            load_bench_spec(json.dumps([{"path": "x", "time_limit": 0}]))
 
     def test_nan_time_limit(self):
         with pytest.raises(ConfigError):
-            InstanceSpec(path="x", time_limit=float("nan"))
+            load_bench_spec(json.dumps([{"path": "x", "time_limit": float("nan")}]))
 
     @pytest.mark.parametrize("cap", [-1.0, float("nan")])
     def test_bad_reduce_cap(self, cap):
         with pytest.raises(ConfigError):
-            InstanceSpec(path="x", reduce_cap=cap)
+            load_bench_spec(json.dumps([{"path": "x", "reduce_cap": cap}]))
+
+    def test_solver_keys_build_the_config(self):
+        entry = {"path": "x", "time_limit": 2, "reduce_cap": 0.5, "no_reduce": True}
+        assert load_bench_spec(json.dumps([entry]))[0].config == SolverConfig(
+            time_limit=2, reduce_cap=0.5, no_reduce=True
+        )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("no_reduce", "false"),
+            ("no_reduce", 0),
+            ("seeds", "12"),
+            ("seeds", ["1", "2"]),
+            ("seeds", [1.0]),
+            ("seeds", [True]),
+            ("time_limit", "5"),
+            ("time_limit", True),
+            ("reduce_cap", "1"),
+            ("format", ["metis"]),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_bench_spec(json.dumps([{"path": "x", key: value}]))
+
+    @pytest.mark.parametrize(
+        "spec", [["x.metis"], {"defaults": [1], "instances": [{"path": "x"}]}]
+    )
+    def test_entries_must_be_objects(self, spec):
+        with pytest.raises(ConfigError, match="JSON objects"):
+            load_bench_spec(json.dumps(spec))
+
+    def test_wrong_json_type_in_defaults_rejected(self):
+        spec = {"defaults": {"time_limit": "5"}, "instances": [{"path": "x"}]}
+        with pytest.raises(ConfigError, match="time_limit"):
+            load_bench_spec(json.dumps(spec))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"fmt": "foo"}, {"weight_mode": "famly-a"}, {"weight_mode": "family-b"}],
+    )
+    def test_bad_source_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="instance x"):
+            InstanceSpec(path="x", **kwargs)
 
 
 class TestRunBenchmark:
     def test_rows_per_seed_plus_summary(self, p3_file):
-        specs = [InstanceSpec(path=p3_file, seeds=[1, 2, 3, 4, 5], time_limit=0.1)]
+        specs = [
+            InstanceSpec(path=p3_file, seeds=[1, 2, 3, 4, 5], config=SolverConfig(time_limit=0.1))
+        ]
         out = io.StringIO()
         rows = run_benchmark(specs, out)
         records = list(csv.DictReader(io.StringIO(out.getvalue())))
@@ -111,7 +159,8 @@ class TestRunBenchmark:
     def test_deterministic_rows(self, p3_file):
         def run():
             out = io.StringIO()
-            run_benchmark([InstanceSpec(path=p3_file, seeds=[1, 2], time_limit=0.1)], out)
+            spec = InstanceSpec(path=p3_file, seeds=[1, 2], config=SolverConfig(time_limit=0.1))
+            run_benchmark([spec], out)
             return out.getvalue()
 
         assert run() == run()
@@ -119,8 +168,8 @@ class TestRunBenchmark:
     def test_unreadable_instance_marks_na_and_continues(self, p3_file, tmp_path):
         missing = str(tmp_path / "nope.metis")
         specs = [
-            InstanceSpec(path=missing, seeds=[1], time_limit=0.1),
-            InstanceSpec(path=p3_file, seeds=[1], time_limit=0.1),
+            InstanceSpec(path=missing, seeds=[1], config=SolverConfig(time_limit=0.1)),
+            InstanceSpec(path=p3_file, seeds=[1], config=SolverConfig(time_limit=0.1)),
         ]
         out = io.StringIO()
         rows = run_benchmark(specs, out)
@@ -132,33 +181,39 @@ class TestRunBenchmark:
     def test_family_weights_applied(self, tmp_path):
         path = tmp_path / "p3.metis"
         path.write_text("3 2 0\n2\n1 3\n2\n")
-        spec = InstanceSpec(path=str(path), weight_mode="family-a", seeds=[1], time_limit=0.1)
+        spec = InstanceSpec(
+            path=str(path), weight_mode="family-a", seeds=[1], config=SolverConfig(time_limit=0.1)
+        )
         out = io.StringIO()
         rows = run_benchmark([spec], out)
         # family-a weights are 1,2,3: optimum is both endpoints (1 + 3)
         assert rows[0].max_w == 4
 
     def test_worker_pool_matches_sequential(self, p3_file):
-        specs = [InstanceSpec(path=p3_file, seeds=[1, 2], time_limit=0.1)]
-        seq = io.StringIO()
-        par = io.StringIO()
-        rows_seq = run_benchmark(specs, seq)
-        rows_par = run_benchmark(specs, par, workers=2)
-        # time_to_best is wall-clock time, so it may differ between the runs
-        # in its last digit; every other column must match exactly.
-        recs_seq = list(csv.DictReader(io.StringIO(seq.getvalue())))
-        recs_par = list(csv.DictReader(io.StringIO(par.getvalue())))
-        for rec in recs_seq + recs_par:
-            assert 0.0 <= float(rec.pop("time_to_best")) <= specs[0].time_limit
-        assert recs_seq == recs_par
-        assert len(recs_seq) == 2
-        assert rows_seq[0].max_w == rows_par[0].max_w
+        for seeds in ([1, 2], [3, 1, 2]):
+            specs = [InstanceSpec(path=p3_file, seeds=seeds, config=SolverConfig(time_limit=0.1))]
+            seq = io.StringIO()
+            par = io.StringIO()
+            rows_seq = run_benchmark(specs, seq)
+            rows_par = run_benchmark(specs, par, workers=2)
+            # time_to_best is wall-clock time, so it may differ between the runs
+            # in its last digit; every other column must match exactly.
+            recs_seq = list(csv.DictReader(io.StringIO(seq.getvalue())))
+            recs_par = list(csv.DictReader(io.StringIO(par.getvalue())))
+            for rec in recs_seq + recs_par:
+                assert 0.0 <= float(rec.pop("time_to_best")) <= specs[0].config.time_limit
+            assert recs_seq == recs_par
+            # Both paths keep the spec's seed order.
+            assert [int(rec["seed"]) for rec in recs_par] == seeds
+            assert [run.seed for run in rows_par[0].runs] == seeds
+            assert rows_seq[0].max_w == rows_par[0].max_w
 
 
 class TestReport:
     def test_renders_aggregated_table(self, p3_file):
         out = io.StringIO()
-        run_benchmark([InstanceSpec(path=p3_file, seeds=[1, 2], time_limit=0.1)], out)
+        spec = InstanceSpec(path=p3_file, seeds=[1, 2], config=SolverConfig(time_limit=0.1))
+        run_benchmark([spec], out)
         report = render_report(out.getvalue())
         lines = report.splitlines()
         assert lines[0].split()[:3] == ["instance", "n", "m"]

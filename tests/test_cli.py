@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -72,6 +73,23 @@ class TestSolveCommand:
     def test_bad_weight_mode_is_config_error(self, p3_file, capsys):
         code = main(["solve", p3_file, "--weights", "family-b"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["solve", "exact"])
+    @pytest.mark.parametrize(
+        "flags", [["--weights", "famly-a"], ["--weights", "file:3"], ["--format", "foo"]]
+    )
+    def test_bad_graph_source_is_config_error(self, p3_file, command, flags, capsys):
+        assert main([command, p3_file, *flags]) == EXIT_CONFIG
+        assert "error" in capsys.readouterr().err
+
+    def test_csv_row_quotes_the_instance_name(self, tmp_path, capsys):
+        path = tmp_path / "a,b.metis"
+        path.write_text(P3_METIS)
+        assert main(["solve", str(path), "--time-limit", "0.2", "--csv"]) == EXIT_OK
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(header) == len(row) == 8
+        assert row[0] == "a,b.metis"
+        assert row[6] == "5"
 
     def test_bad_time_limit_is_config_error(self, p3_file):
         code = main(["solve", p3_file, "--time-limit", "-1"])

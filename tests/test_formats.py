@@ -11,6 +11,7 @@ from mwis import (
     parse_metis,
     to_metis,
 )
+from mwis.formats import load_graph
 
 from util import random_gnm_graph, random_graph
 
@@ -196,3 +197,24 @@ class TestWeightFamilies:
         ga = assign_weights_family_a(g, ids)
         assert ga.adjacency == g.adjacency
         assert g.weights == [9, 9, 9]  # original graph untouched
+
+
+class TestLoadGraph:
+    @pytest.fixture
+    def p3_file(self, tmp_path):
+        path = tmp_path / "p3.metis"
+        path.write_text("3 2 10\n1 2\n5 1 3\n1 2\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("metis", "family-b", None), "need a seed"),
+            (("metis", "famly-a"), "unknown weight mode"),
+            (("metis", "file", 3), "takes no seed"),
+            (("foo",), "unknown format"),
+        ],
+    )
+    def test_bad_source_rejected(self, p3_file, args, message):
+        with pytest.raises(ValueError, match=message):
+            load_graph(p3_file, *args)

@@ -82,6 +82,7 @@ class TestInducedSubgraph:
                 back = {new_to_old[u] for u in sub.adjacency[new]}
                 expected = {u for u in g.adjacency[old] if u in old_to_new}
                 assert back == expected
+                assert sub.adjacency[new] == sorted(sub.adjacency[new])
 
 
 def test_vertexset_is_an_insertion_ordered_dict():

@@ -4,11 +4,15 @@ perfbench traces the solver by wrapping functions it names in
 `spans.TARGETS`, reads region-search statistics through two keyword
 parameters, and imports a few names from the package root. These tests look
 all of that up without installing any wrapper, so no other test sees a
-traced function.
+traced function. The last test runs perfbench's worker untraced in its own
+process, as each benchmark solve does.
 """
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,19 @@ def test_root_exports_used_by_perfbench(spans):
     assert SolverConfig(time_limit=1.0, seed=1).seed == 1
     assert list(VertexSet(range(0, 6, 2))) == [0, 2, 4]
     assert spans.vertexset_contains_ns(reps=1, lookups=2000) > 0
+
+
+def test_untraced_worker_solves_a_tiny_file(tmp_path):
+    path = tmp_path / "p3.metis"
+    path.write_text("3 2 10\n1 2\n5 1 3\n1 2\n")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), str(path),
+         "--time-limit", "0.05", "--solver-seed", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    for key in ("best_weight", "best_set", "iterations", "trace", "elapsed", "peak_rss_mb"):
+        assert key in out, key
+    assert out["best_weight"] == 5
+    assert out["best_set"] == [1]
