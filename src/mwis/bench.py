@@ -8,11 +8,12 @@ import json
 import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 from .formats import check_source, load_graph
-from .graph import Graph
 from .solver import SolverConfig, solve
 
 log = logging.getLogger(__name__)
@@ -28,6 +29,7 @@ SPEC_TYPES = [
     ("boolean", (bool,), ("no_reduce",)),
 ]
 SOLVER_KEYS = ("time_limit", "reduce_cap", "no_reduce")  # SolverConfig fields
+SPEC_KEYS = frozenset(key for _, _, keys in SPEC_TYPES for key in keys)
 
 
 class ConfigError(ValueError):
@@ -72,6 +74,10 @@ class InstanceSpec:
         if "path" not in merged:
             raise ConfigError("instance entry missing 'path'")
         where = f"instance {merged['path']}"
+        for source, keys in (("", entry), (" in defaults", defaults or {})):
+            unknown = sorted(set(keys) - SPEC_KEYS)
+            if unknown:
+                raise ConfigError(f"{where}: unknown key {unknown[0]!r}{source}")
         for kind, types, keys in SPEC_TYPES:
             for key in keys:
                 if key in merged and type(merged[key]) not in types:
@@ -147,46 +153,39 @@ def csv_row(row: BenchRow, run: SeedRun) -> list:
 def run_benchmark(specs: list[InstanceSpec], out, workers: int = 1) -> list[BenchRow]:
     """Solve every (instance, seed) job, write CSV rows to `out`, and return
     one aggregated row per instance. Rows follow spec order and, within an
-    instance, the order of its seeds, for any number of workers. Unreadable
-    instances produce an N/A row and the run continues."""
+    instance, the order of its seeds, for any number of workers; each is
+    written and flushed as soon as its run returns. One instance's graph is
+    held at a time. Unreadable instances produce an N/A row and the run
+    continues."""
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
+    out.flush()
     rows: list[BenchRow] = []
-    owners: list[BenchRow] = []  # the row of each job
-    graphs: list[Graph] = []
-    configs: list[SolverConfig] = []
-    for spec in specs:
-        row = BenchRow(instance=spec.name)
-        rows.append(row)
-        try:
-            g, _ = load_graph(spec.path, spec.fmt, spec.weight_mode, spec.weight_seed)
-        except (OSError, ValueError) as exc:  # ParseError is a ValueError
-            log.warning("instance %s unreadable: %s", spec.name, exc)
-            row.error = str(exc)
-            continue
-        row.n, row.m = g.n, g.m
-        for seed in spec.seeds:
-            owners.append(row)
-            graphs.append(g)
-            configs.append(replace(spec.config, seed=seed))
-
-    # solve raises unless its solution verifies against the graph.
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, graphs, configs))
-    else:
-        results = map(solve, graphs, configs)
-    for row, cfg, result in zip(owners, configs, results):
-        row.runs.append(SeedRun(cfg.seed, result.best_weight, result.time_to_best))
-        row.kernel_n, row.kernel_m = result.kernel_n, result.kernel_m
-
-    for row in rows:
-        if row.error is not None:
-            writer.writerow([row.instance] + ["N/A"] * (len(CSV_HEADER) - 1))
-            continue
-        writer.writerows(csv_row(row, run) for run in row.runs)
-        row.max_w = max(r.weight for r in row.runs)
-        row.avg_w = statistics.fmean(r.weight for r in row.runs)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run_all = pool.map if pool is not None else map
+        for spec in specs:
+            row = BenchRow(instance=spec.name)
+            rows.append(row)
+            try:
+                g, _ = load_graph(spec.path, spec.fmt, spec.weight_mode, spec.weight_seed)
+            except (OSError, ValueError) as exc:  # ParseError is a ValueError
+                log.warning("instance %s unreadable: %s", spec.name, exc)
+                row.error = str(exc)
+                writer.writerow([row.instance] + ["N/A"] * (len(CSV_HEADER) - 1))
+                out.flush()
+                continue
+            row.n, row.m = g.n, g.m
+            configs = [replace(spec.config, seed=seed) for seed in spec.seeds]
+            # solve raises unless its solution verifies against the graph.
+            for cfg, result in zip(configs, run_all(solve, repeat(g), configs)):
+                run = SeedRun(cfg.seed, result.best_weight, result.time_to_best)
+                row.runs.append(run)
+                row.kernel_n, row.kernel_m = result.kernel_n, result.kernel_m
+                writer.writerow(csv_row(row, run))
+                out.flush()
+            del g  # drop the graph before the next instance is loaded
+            row.max_w = max(r.weight for r in row.runs)
+            row.avg_w = statistics.fmean(r.weight for r in row.runs)
     return rows
 
 

@@ -106,28 +106,46 @@ def reduction_construction(g: Graph) -> list[int]:
 
     The best vertex comes from a lazily invalidated heap keyed by
     (nbw - weight, id). Only the rules 0-2 run here, so the fold rule's dirty
-    set is never drained: it collects exactly the vertices whose weight or
-    neighborhood weight changed, and those are re-keyed before each pick.
+    set is never drained: once its every-vertex flag has seeded the heap, it
+    collects exactly the vertices whose weight or neighborhood weight
+    changed, and those are re-keyed before each pick.
     """
     red = _Reducer(g)
     cheap_rules = (0, 1, 2)  # isolated, degree-one, neighborhood
-    changed = red._dirty[4]  # starts as every vertex
+    changed = red._dirty[4]
     weight, nbw, alive = red.weight, red.nbw, red.alive
     heap: list[tuple[int, int]] = []
     while red.alive_count > 0:
         red.run_rules(cheap_rules, verify=False)
         if red.alive_count == 0:
             break
+        if red._all_dirty[4]:
+            red._all_dirty[4] = False
+            heap = [(nbw[v] - weight[v], v) for v in range(len(alive)) if alive[v]]
+            heapq.heapify(heap)
         for v in changed:
             if alive[v]:
                 heapq.heappush(heap, (nbw[v] - weight[v], v))
         changed.clear()
+        if len(heap) > 2 * red.alive_count:
+            heap = _compact_heap(heap, alive, nbw, weight)
         while True:
             key, v = heapq.heappop(heap)
             if alive[v] and key == nbw[v] - weight[v]:
                 break
         red.take(v)
     return resolve_trace(red.trace, set(), g.n)
+
+
+def _compact_heap(
+    heap: list[tuple[int, int]], alive: list[bool], nbw: list[int], weight: list[int]
+) -> list[tuple[int, int]]:
+    """The entries of `heap` that are still valid, re-heapified. Entries pop
+    in (key, id) order, so dropping the stale ones leaves the picks as they
+    were."""
+    valid = [e for e in heap if alive[e[1]] and e[0] == nbw[e[1]] - weight[e[1]]]
+    heapq.heapify(valid)
+    return valid
 
 
 def build_initial_solution(g: Graph, radius: int) -> list[int]:

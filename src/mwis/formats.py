@@ -35,11 +35,11 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
     which holds exactly the earlier rows that named v; every row matching is
     the same as the input being symmetric.
     """
-    lines = text.splitlines()
     header: list[str] | None = None
     header_line = 0
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    row_lines: list[int] = []  # the line number of each vertex line
+    rows: list[str] = []  # its text, cleared once parsed
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("%"):
             continue
@@ -49,7 +49,8 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
             header = stripped.split()
             header_line = lineno
         else:
-            rows.append((lineno, stripped))
+            row_lines.append(lineno)
+            rows.append(stripped)
 
     if header is None:
         raise ParseError("empty file: missing header")
@@ -64,8 +65,9 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
         raise ParseError(f"line {header_line}: unsupported fmt {fmt} (expected 0 or 10)")
 
     # Trailing blank lines are tolerated; missing vertex lines are not.
-    while len(rows) > n and not rows[-1][1]:
+    while len(rows) > n and not rows[-1]:
         rows.pop()
+        row_lines.pop()
     if len(rows) != n:
         raise ParseError(f"expected {n} vertex lines, found {len(rows)}")
 
@@ -74,7 +76,9 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
     one_based = (1).__add__
     entries = 0
     asymmetric: list[tuple[int, int]] = []  # (v, u): v names u, u does not name v
-    for v, (lineno, row) in enumerate(rows):
+    for v, lineno in enumerate(row_lines):
+        row = rows[v]
+        rows[v] = ""  # release the text while the adjacency grows
         try:
             values = list(map(int, row.split()))
         except ValueError as exc:
@@ -99,7 +103,7 @@ def parse_metis(text: str) -> tuple[Graph, list[int]]:
 
     if asymmetric:
         v, u = min(asymmetric)
-        raise ParseError(f"line {rows[v][0]}: vertex {u + 1} missing reciprocal neighbor {v + 1}")
+        raise ParseError(f"line {row_lines[v]}: vertex {u + 1} missing reciprocal neighbor {v + 1}")
     if entries // 2 != m:
         raise ParseError(f"header claims {m} edges, adjacency lists encode {entries // 2}")
 

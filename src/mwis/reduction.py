@@ -62,7 +62,10 @@ class _Reducer:
         self.nbw: list[int] = [sum(map(w.__getitem__, a)) for a in g.adjacency]
         self.offset = 0
         self.trace: list[tuple] = []
-        self._dirty: list[set[int]] = [set(range(g.n)) for _ in RULE_NAMES]
+        # Per rule: the vertices to re-check, unless `_all_dirty` says every
+        # vertex is due. Marks are not collected while that flag is set.
+        self._dirty: list[set[int]] = [set() for _ in RULE_NAMES]
+        self._all_dirty: list[bool] = [True] * len(RULE_NAMES)
         # Whether the graph changed since every rule last had every alive
         # vertex dirty; run_rules skips its verification sweep while False.
         self._changed = False
@@ -74,8 +77,17 @@ class _Reducer:
     # -- mutation primitives ---------------------------------------------
 
     def _mark(self, vertices) -> None:
-        for d in self._dirty:
-            d.update(vertices)
+        for d, everything in zip(self._dirty, self._all_dirty):
+            if not everything:
+                d.update(vertices)
+
+    def _mark_two_hop(self, nbs: list[int]) -> None:
+        """Mark the neighbors of nbs for domination: shrinking N[u] can newly
+        expose domination two hops away."""
+        if not self._all_dirty[3]:
+            dom_dirty = self._dirty[3]
+            for u in nbs:
+                dom_dirty.update(self.adj[u])
 
     def _delete(self, v: int) -> None:
         self._changed = True
@@ -88,10 +100,7 @@ class _Reducer:
             deg[u] -= 1
             nbw[u] -= wv
         self._mark(nbs)
-        # Shrinking N[u] can newly expose domination two hops away.
-        dom_dirty = self._dirty[3]
-        for u in nbs:
-            dom_dirty.update(self.adj[u])
+        self._mark_two_hop(nbs)
 
     def _decrease_weight(self, u: int, delta: int) -> None:
         self.weight[u] -= delta
@@ -110,18 +119,15 @@ class _Reducer:
         self.alive.append(True)
         self.alive_count += 1
         self.nbw.append(sum(map(self.weight.__getitem__, nbs)))
-        for d in self._dirty:
-            d.add(f)
+        self._mark((f,))
         for u in nbs:
             # A copy, never an in-place append: the list may be the input's.
-            # Its cost matches the dom_dirty update below.
+            # Its cost matches the two-hop marking below.
             self.adj[u] = self.adj[u] + [f]
             self.deg[u] += 1
             self.nbw[u] += w
         self._mark(nbs)
-        dom_dirty = self._dirty[3]
-        for u in nbs:
-            dom_dirty.update(self.adj[u])
+        self._mark_two_hop(nbs)
         return f
 
     def take(self, v: int) -> None:
@@ -232,9 +238,11 @@ class _Reducer:
                     pos += 1
             if not verify or not self._changed:
                 return
-            # Verification sweep: mark every alive vertex dirty for every rule
-            # and re-examine everything once.
-            self._mark([v for v, a in enumerate(self.alive) if a])
+            # Verification sweep: every alive vertex is dirty for every rule,
+            # so everything is re-examined once.
+            for d in self._dirty:
+                d.clear()
+            self._all_dirty[:] = [True] * len(RULE_NAMES)
             self._changed = False
             for r in rule_indices:
                 if time.monotonic() >= deadline:
@@ -247,13 +255,18 @@ class _Reducer:
     def _run_one_rule(self, r: int, deadline: float) -> bool:
         rule = self._RULES[r]
         dirty = self._dirty[r]
+        alive = self.alive
         applied = False
         checked = 0
-        while dirty:
-            batch = sorted(dirty)
+        while dirty or self._all_dirty[r]:
+            if self._all_dirty[r]:
+                self._all_dirty[r] = False
+                batch = range(len(self.adj))  # every vertex, ascending
+            else:
+                batch = sorted(dirty)
             dirty.clear()
             for v in batch:
-                if not self.alive[v]:
+                if not alive[v]:
                     continue
                 if rule(self, v):
                     applied = True

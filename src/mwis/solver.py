@@ -101,10 +101,10 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         iterations = state.iter
 
         # A deadline can interrupt mid-pass; make sure the answer is maximal.
-        polish = SolutionState(kg, best)
-        if polish.maximize() > 0:
-            best = polish.cs.copy()
-            note(polish.cs_weight)
+        state.reset_solution(best)
+        if state.maximize() > 0:
+            best = state.cs.copy()
+            note(state.cs_weight)
         best_kernel = best
 
     members = lift_solution(kernel, best_kernel)

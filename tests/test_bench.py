@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import weakref
 
 import pytest
 
@@ -14,9 +15,19 @@ from mwis.bench import (
     run_benchmark,
     summarize,
 )
-from mwis.solver import SolverConfig
+from mwis.formats import load_graph
+from mwis.graph import Graph
+from mwis.solver import SolverConfig, solve
 
 P3_METIS = "3 2 10\n1 2\n5 1 3\n1 2\n"
+
+
+def solve_interrupted_on_seed_3(g, cfg):
+    """`solve`, except that the run with seed 3 is interrupted. Module level,
+    so that worker processes can unpickle it."""
+    if cfg.seed == 3:
+        raise KeyboardInterrupt
+    return solve(g, cfg)
 
 
 @pytest.fixture
@@ -130,6 +141,15 @@ class TestInstanceSpec:
         with pytest.raises(ConfigError, match="time_limit"):
             load_bench_spec(json.dumps(spec))
 
+    def test_unknown_entry_key_rejected(self):
+        with pytest.raises(ConfigError, match="instance x.metis: unknown key 'time_limt'"):
+            load_bench_spec(json.dumps([{"path": "x.metis", "time_limt": 5}]))
+
+    def test_unknown_defaults_key_rejected(self):
+        spec = {"defaults": {"seed": [1]}, "instances": [{"path": "x.metis"}]}
+        with pytest.raises(ConfigError, match="instance x.metis: unknown key 'seed' in defaults"):
+            load_bench_spec(json.dumps(spec))
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"fmt": "foo"}, {"weight_mode": "famly-a"}, {"weight_mode": "family-b"}],
@@ -207,6 +227,36 @@ class TestRunBenchmark:
             assert [int(rec["seed"]) for rec in recs_par] == seeds
             assert [run.seed for run in rows_par[0].runs] == seeds
             assert rows_seq[0].max_w == rows_par[0].max_w
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_keeps_finished_rows(self, p3_file, monkeypatch, workers):
+        monkeypatch.setattr("mwis.bench.solve", solve_interrupted_on_seed_3)
+        specs = [InstanceSpec(path=p3_file, seeds=[1, 2, 3], config=SolverConfig(time_limit=0.1))]
+        out = io.StringIO()
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(specs, out, workers=workers)
+        records = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert [(r["seed"], r["weight"]) for r in records] == [("1", "5"), ("2", "5")]
+
+    def test_one_graph_held_at_a_time(self, p3_file, monkeypatch):
+        class WeakGraph(Graph):
+            __slots__ = ("__weakref__",)
+
+        loaded = []
+
+        def load_then_check(*args):
+            g, ids = load_graph(*args)
+            g = WeakGraph(g.n, g.adjacency, g.weights, g.m)
+            loaded.append(weakref.ref(g))
+            # Every earlier instance's graph has been dropped.
+            assert all(ref() is None for ref in loaded[:-1])
+            return g, ids
+
+        monkeypatch.setattr("mwis.bench.load_graph", load_then_check)
+        spec = InstanceSpec(path=p3_file, seeds=[1, 2], config=SolverConfig(time_limit=0.1))
+        run_benchmark([spec, spec, spec], io.StringIO())
+        assert len(loaded) == 3
 
 
 class TestReport:

@@ -156,6 +156,12 @@ class TestBenchCommand:
         spec.write_text(json.dumps([{"path": "x.metis", "seeds": []}]))
         assert main(["bench", str(spec)]) == EXIT_CONFIG
 
+    def test_misspelt_spec_key_is_config_error(self, p3_file, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"path": p3_file, "time_limt": 0.1}]))
+        assert main(["bench", str(spec)]) == EXIT_CONFIG
+        assert "unknown key 'time_limt'" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_report_renders(self, p3_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 
+from mwis import construct
 from mwis import (
     brute_force_mwis,
     build_graph,
@@ -117,17 +118,27 @@ class TestReductionConstruction:
                 if v not in members:
                     assert any(u in members for u in g.adjacency[v])
 
-    def test_matches_quadratic_reference(self):
+    def test_matches_quadratic_reference(self, monkeypatch):
         # Unit weights and weights in 1..3 make many gaps tie, so the
         # smallest-id tie-break is exercised as well as the heap order.
+        compactions = []
+        compact = construct._compact_heap
+
+        def counting(*args):
+            compactions.append(len(args[0]))
+            return compact(*args)
+
+        monkeypatch.setattr(construct, "_compact_heap", counting)
         rng = random.Random(23)
         for max_weight in (1, 3, 200):
             for _ in range(100):
                 g = random_graph(rng, rng.randint(1, 60), rng.choice([0.03, 0.08, 0.15, 0.3]), max_weight)
                 assert reduction_construction(g) == reference_reduction_construction(g)
             for _ in range(3):
+                compactions.clear()
                 g = random_gnm_graph(rng, 600, 1800, max_weight)
                 assert reduction_construction(g) == reference_reduction_construction(g)
+                assert compactions  # the bounded heap was compacted on this graph
 
 
 class TestBuildInitialSolution:

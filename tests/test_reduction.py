@@ -132,9 +132,19 @@ def test_offset_counts_weight_changes():
     assert set(lift_solution(k, [])) == {1}
 
 
+def fold_survivor_graph():
+    """A graph whose kernel keeps a fold vertex, so the verification sweep
+    after the fold checks ids >= n."""
+    g = random_gnm_graph(random.Random(1), 40, 60)
+    k = reduce_graph(g)
+    assert any(entry[0] == "fold" for entry in k.trace)
+    assert max(k.orig_map) >= g.n
+    return g
+
+
 def test_matches_always_sweeping_reference():
     rng = random.Random(77)
-    graphs = []
+    graphs = [fold_survivor_graph()]
     for max_weight in (1, 3, 200):
         for _ in range(40):
             n = rng.randint(1, 60)
@@ -183,7 +193,7 @@ def test_sweep_skipped_when_no_rule_fires(monkeypatch):
 
 def test_matches_set_reducer():
     rng = random.Random(31)
-    graphs = []
+    graphs = [fold_survivor_graph()]
     for max_weight in (1, 3, 200):
         for _ in range(60):
             n = rng.randint(1, 80)
