@@ -116,7 +116,7 @@ def reduction_construction(g: Graph) -> list[int]:
     weight, nbw, alive = red.weight, red.nbw, red.alive
     heap: list[tuple[int, int]] = []
     while red.alive_count > 0:
-        red.run_rules(cheap_rules, verify=False)
+        red.run_rules(cheap_rules)
         if red.alive_count == 0:
             break
         if red._all_dirty[4]:

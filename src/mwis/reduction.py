@@ -48,6 +48,12 @@ class _Reducer:
     `alive`; `deg` counts alive neighbors. A fold vertex's id exceeds every
     existing id, so appending it keeps each list sorted; the append goes to a
     copy of the list, so the input graph is never written.
+
+    Each rule re-checks only its dirty vertices. `_delete` and `_new_vertex`
+    mark the alive neighbors for every rule and their neighbors for
+    domination, `_decrease_weight` marks the vertex and its alive neighbors,
+    and a new vertex marks itself: every vertex whose rule outcome a mutation
+    can change. So a pass in which no rule fires is a fixpoint.
     """
 
     def __init__(self, g: Graph):
@@ -66,9 +72,6 @@ class _Reducer:
         # vertex is due. Marks are not collected while that flag is set.
         self._dirty: list[set[int]] = [set() for _ in RULE_NAMES]
         self._all_dirty: list[bool] = [True] * len(RULE_NAMES)
-        # Whether the graph changed since every rule last had every alive
-        # vertex dirty; run_rules skips its verification sweep while False.
-        self._changed = False
 
     def _alive_nbs(self, v: int) -> list[int]:
         alive = self.alive
@@ -82,15 +85,14 @@ class _Reducer:
                 d.update(vertices)
 
     def _mark_two_hop(self, nbs: list[int]) -> None:
-        """Mark the neighbors of nbs for domination: shrinking N[u] can newly
-        expose domination two hops away."""
+        """Mark the neighbors of nbs for domination: once N[u] changes, u may
+        dominate a neighbor it did not before."""
         if not self._all_dirty[3]:
             dom_dirty = self._dirty[3]
             for u in nbs:
                 dom_dirty.update(self.adj[u])
 
     def _delete(self, v: int) -> None:
-        self._changed = True
         self.alive[v] = False
         self.alive_count -= 1
         nbs = self._alive_nbs(v)
@@ -143,9 +145,7 @@ class _Reducer:
     def _try_isolated(self, v: int) -> bool:
         if self.deg[v]:
             return False
-        self.trace.append(("take", v))
-        self.offset += self.weight[v]
-        self._delete(v)
+        self.take(v)
         return True
 
     def _try_degree_one(self, v: int) -> bool:
@@ -153,10 +153,7 @@ class _Reducer:
             return False
         (u,) = self._alive_nbs(v)
         if self.weight[v] >= self.weight[u]:
-            self.trace.append(("take", v))
-            self.offset += self.weight[v]
-            self._delete(u)
-            self._delete(v)
+            self.take(v)
         else:
             self.trace.append(("defer", v, u))
             self.offset += self.weight[v]
@@ -211,46 +208,17 @@ class _Reducer:
 
     # -- driver ------------------------------------------------------------
 
-    def run_rules(
-        self, rule_indices: tuple[int, ...], deadline: float = math.inf, verify: bool = True
-    ) -> None:
-        """Apply the selected rules to fixpoint, cheapest rule first.
-
-        After any successful application the scan restarts at the cheapest
-        rule. With verify=True a final full sweep confirms the fixpoint
-        regardless of the dirty-set bookkeeping; callers using only the
-        cheap rules (whose dirty marks are complete) may skip it.
-
-        The sweep is skipped when the graph has not changed since every alive
-        vertex was last marked dirty for every rule, which holds for a fresh
-        reducer and after a sweep in which no rule fired: every rule has then
-        already checked every vertex against the current graph, so the sweep
-        could not fire either. On a graph no rule reduces this halves the time.
-        """
-        while True:
-            pos = 0
-            while pos < len(rule_indices):
-                if time.monotonic() >= deadline:
-                    return
-                if self._run_one_rule(rule_indices[pos], deadline):
-                    pos = 0
-                else:
-                    pos += 1
-            if not verify or not self._changed:
+    def run_rules(self, rule_indices: tuple[int, ...], deadline: float = math.inf) -> None:
+        """Apply the selected rules, cheapest first and back to the cheapest
+        after any fires, until a pass over them fires none."""
+        pos = 0
+        while pos < len(rule_indices):
+            if time.monotonic() >= deadline:
                 return
-            # Verification sweep: every alive vertex is dirty for every rule,
-            # so everything is re-examined once.
-            for d in self._dirty:
-                d.clear()
-            self._all_dirty[:] = [True] * len(RULE_NAMES)
-            self._changed = False
-            for r in rule_indices:
-                if time.monotonic() >= deadline:
-                    return
-                if self._run_one_rule(r, deadline):
-                    break
-            if not self._changed:
-                return
+            if self._run_one_rule(rule_indices[pos], deadline):
+                pos = 0
+            else:
+                pos += 1
 
     def _run_one_rule(self, r: int, deadline: float) -> bool:
         rule = self._RULES[r]
@@ -293,9 +261,10 @@ class _Reducer:
 
 def reduce_graph(g: Graph, time_cap: float = 200.0) -> Kernel:
     """Kernelize g with all five rules, stopping at fixpoint or after time_cap seconds."""
+    if not time_cap > 0:
+        return identity_kernel(g)
     red = _Reducer(g)
-    if time_cap > 0:
-        red.run_rules((0, 1, 2, 3, 4), time.monotonic() + time_cap)
+    red.run_rules((0, 1, 2, 3, 4), time.monotonic() + time_cap)
     if not red.trace:
         return identity_kernel(g)  # nothing reduced: share g instead of copying it
     return red.kernel()

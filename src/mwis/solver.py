@@ -8,6 +8,7 @@ identical configurations replay identically.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from .construct import build_initial_solution, density_radius
 from .descent import adaptive_descent
 from .exchange import composite_search, composite_search_loop
 from .graph import Graph
-from .reduction import Kernel, identity_kernel, lift_solution, reduce_graph
+from .reduction import lift_solution, reduce_graph
 from .region import region_search
 from .state import SolutionState
 
@@ -32,8 +33,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # Negated comparisons so that NaN fails them too.
-        if not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
+        if not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite")
         if not self.reduce_cap >= 0:
             raise ValueError("reduce_cap must be non-negative")
 
@@ -63,10 +64,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = start + cfg.time_limit
     rng = random.Random(cfg.seed)
 
-    if cfg.no_reduce or g.n == 0:
-        kernel = identity_kernel(g)
-    else:
-        kernel = reduce_graph(g, min(cfg.reduce_cap, cfg.time_limit))
+    kernel = reduce_graph(g, 0.0 if cfg.no_reduce else min(cfg.reduce_cap, cfg.time_limit))
     kg = kernel.graph
 
     trace: list[tuple[float, int]] = []

@@ -57,9 +57,14 @@ def test_fold_lifts_to_path_ends():
     assert g.set_weight(lifted) == brute_force_mwis(g)[1]
 
 
-def test_zero_time_cap_is_identity():
+def test_zero_time_cap_is_identity(monkeypatch):
+    def no_reducer(self, g):
+        raise AssertionError("a zero time cap must not build a working copy")
+
+    monkeypatch.setattr(_Reducer, "__init__", no_reducer)
     g = c4_3131()
     k = reduce_graph(g, time_cap=0)
+    assert k.graph is g
     assert k.graph.n == g.n
     assert k.graph.adjacency == g.adjacency
     assert k.offset == 0
@@ -133,8 +138,8 @@ def test_offset_counts_weight_changes():
 
 
 def fold_survivor_graph():
-    """A graph whose kernel keeps a fold vertex, so the verification sweep
-    after the fold checks ids >= n."""
+    """A graph whose kernel keeps a fold vertex, so the rules check ids >= n
+    after the fold."""
     g = random_gnm_graph(random.Random(1), 40, 60)
     k = reduce_graph(g)
     assert any(entry[0] == "fold" for entry in k.trace)
@@ -152,6 +157,8 @@ def test_matches_always_sweeping_reference():
         graphs.append(random_gnm_graph(rng, 500, 1500, max_weight))
         graphs.append(random_graph(rng, 120, 0.3, max_weight))
     graphs.append(cube_graph())
+    graphs.append(random_gnm_graph(random.Random(1), 12000, 36000))
+    kinds = set()
     for g in graphs:
         k = reduce_graph(g)
         ref = reference_reduce_graph(g)
@@ -162,6 +169,8 @@ def test_matches_always_sweeping_reference():
         assert k.trace == ref.trace
         assert k.orig_map == ref.orig_map
         assert k.source_n == ref.source_n
+        kinds.update(entry[0] for entry in k.trace)
+    assert kinds == {"take", "defer", "drop", "fold"}
 
 
 def test_irreducible_graph_kernel_is_the_graph():
@@ -175,7 +184,7 @@ def test_irreducible_graph_kernel_is_the_graph():
     assert g.set_weight(lift_solution(k, even)) == 4 == brute_force_mwis(g)[1]
 
 
-def test_sweep_skipped_when_no_rule_fires(monkeypatch):
+def test_run_rules_stops_after_a_pass_that_fires_nothing(monkeypatch):
     calls = []
     run_one = _Reducer._run_one_rule
 
@@ -185,10 +194,12 @@ def test_sweep_skipped_when_no_rule_fires(monkeypatch):
 
     monkeypatch.setattr(_Reducer, "_run_one_rule", counting)
     _Reducer(cube_graph()).run_rules((0, 1, 2, 3, 4))
-    assert calls == [0, 1, 2, 3, 4]  # one pass, no verification sweep
+    assert calls == [0, 1, 2, 3, 4]  # nothing fires: one pass
     calls.clear()
     _Reducer(p3_151()).run_rules((0, 1, 2, 3, 4))
-    assert calls[-5:] == [0, 1, 2, 3, 4] and len(calls) > 5  # the sweep still runs
+    # degree_one fires and restarts the scan at isolated; the second pass
+    # fires nothing, and no further pass re-checks it
+    assert calls == [0, 1, 0, 1, 2, 3, 4]
 
 
 def test_matches_set_reducer():
