@@ -9,7 +9,7 @@ import logging
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -25,10 +25,11 @@ CSV_HEADER = ["instance", "n", "m", "kernel_n", "kernel_m", "seed", "weight", "t
 SPEC_TYPES = [
     ("string", (str,), ("path", "name", "format", "weights")),
     ("list", (list,), ("seeds",)),
-    ("number", (int, float), ("time_limit", "reduce_cap")),
+    ("number", (int, float), ("time_limit",)),
     ("boolean", (bool,), ("no_reduce",)),
 ]
-SOLVER_KEYS = ("time_limit", "reduce_cap", "no_reduce")  # SolverConfig fields
+# Every SolverConfig field is a spec key except the seed, which "seeds" sets per run.
+SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "seed")
 SPEC_KEYS = frozenset(key for _, _, keys in SPEC_TYPES for key in keys)
 
 

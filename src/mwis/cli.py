@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--time-limit", type=float, default=SolverConfig.time_limit, metavar="S")
     p_solve.add_argument("--seed", type=int, default=SolverConfig.seed)
     p_solve.add_argument("--no-reduce", action="store_true", help="skip kernelization")
-    p_solve.add_argument("--reduce-cap", type=float, default=SolverConfig.reduce_cap, metavar="S")
     fmt_group = p_solve.add_mutually_exclusive_group()
     fmt_group.add_argument("--json", action="store_true", help="emit the full result as JSON")
     fmt_group.add_argument("--csv", action="store_true", help="emit one CSV row")
@@ -81,7 +80,6 @@ def _cmd_solve(args) -> int:
         time_limit=args.time_limit,
         seed=args.seed,
         no_reduce=args.no_reduce,
-        reduce_cap=args.reduce_cap,
     )
     result = solve(g, cfg)
     original_ids = [ids[v] for v in result.best_set]

@@ -124,16 +124,11 @@ def region_search(
     g = state.g
     best = best.copy()
     flag = False
-    if len(state.cs) == 0:
-        if stats_out is not None:
-            stats_out.update(centers=0, final_budget=max(1, len(state.cs) // 100))
-        return best, flag
-
     pool = list(state.cs)
-    improve_false: dict[int, int] = {}
     freq = state.freq
     budget = max(1, len(state.cs) // 100)
     c = 0
+    radius = max(1, radius_base)
     size_cap = max(10_000, g.n // 5)
 
     while c <= min(len(state.cs), budget) and pool:
@@ -142,7 +137,6 @@ def region_search(
         pick = min(range(len(pool)), key=lambda i: (freq[pool[i]], pool[i]))
         center = pool.pop(pick)
         c += 1
-        radius = max(1, radius_base + improve_false.get(center, 0))
         region = build_local_graph(g, state.cs, center, radius, max_size=size_cap)
         inside_w = region.graph.set_weight(region.solu1)
         local_state = SolutionState(region.graph, _greedy_by_weight(region.graph))
@@ -159,8 +153,6 @@ def region_search(
             flag = True
             if on_improve is not None:
                 on_improve(state.cs_weight)
-        else:
-            improve_false[center] = improve_false.get(center, 0) + 1
         if not flag and c == budget:
             budget += max(1, len(state.cs) // 100)
 

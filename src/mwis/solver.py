@@ -22,21 +22,19 @@ from .region import region_search
 from .state import SolutionState
 
 SEARCH_DEPTH = 100  # stagnation budget of each region descent
+REDUCE_CAP = 200.0  # seconds kernelization may run, at most time_limit
 
 
 @dataclass
 class SolverConfig:
     time_limit: float = 1000.0
     seed: int = 1
-    reduce_cap: float = 200.0
     no_reduce: bool = False
 
     def __post_init__(self):
-        # Negated comparisons so that NaN fails them too.
+        # A negated comparison so that NaN fails it too.
         if not 0 < self.time_limit < math.inf:
             raise ValueError("time_limit must be positive and finite")
-        if not self.reduce_cap >= 0:
-            raise ValueError("reduce_cap must be non-negative")
 
 
 @dataclass
@@ -64,7 +62,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = start + cfg.time_limit
     rng = random.Random(cfg.seed)
 
-    kernel = reduce_graph(g, 0.0 if cfg.no_reduce else min(cfg.reduce_cap, cfg.time_limit))
+    kernel = reduce_graph(g, 0.0 if cfg.no_reduce else min(REDUCE_CAP, cfg.time_limit))
     kg = kernel.graph
 
     trace: list[tuple[float, int]] = []

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from mwis.bench import (
+    SOLVER_KEYS,
     BenchRow,
     ConfigError,
     InstanceSpec,
@@ -99,15 +100,17 @@ class TestInstanceSpec:
         with pytest.raises(ConfigError):
             load_bench_spec(json.dumps([{"path": "x", "time_limit": float("nan")}]))
 
-    @pytest.mark.parametrize("cap", [-1.0, float("nan")])
-    def test_bad_reduce_cap(self, cap):
-        with pytest.raises(ConfigError):
-            load_bench_spec(json.dumps([{"path": "x", "reduce_cap": cap}]))
+    def test_reduce_cap_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'reduce_cap'"):
+            load_bench_spec(json.dumps([{"path": "x", "reduce_cap": 30}]))
+
+    def test_solver_keys_are_the_config_fields_but_seed(self):
+        assert SOLVER_KEYS == ("time_limit", "no_reduce")
 
     def test_solver_keys_build_the_config(self):
-        entry = {"path": "x", "time_limit": 2, "reduce_cap": 0.5, "no_reduce": True}
+        entry = {"path": "x", "time_limit": 2, "no_reduce": True}
         assert load_bench_spec(json.dumps([entry]))[0].config == SolverConfig(
-            time_limit=2, reduce_cap=0.5, no_reduce=True
+            time_limit=2, no_reduce=True
         )
 
     @pytest.mark.parametrize(
@@ -121,7 +124,7 @@ class TestInstanceSpec:
             ("seeds", [True]),
             ("time_limit", "5"),
             ("time_limit", True),
-            ("reduce_cap", "1"),
+            ("name", 5),
             ("format", ["metis"]),
         ],
     )

@@ -98,11 +98,10 @@ class TestSolveCommand:
     def test_nan_time_limit_is_config_error(self, p3_file):
         assert main(["solve", p3_file, "--time-limit", "nan"]) == EXIT_CONFIG
 
-    def test_negative_reduce_cap_is_config_error(self, p3_file):
-        assert main(["solve", p3_file, "--reduce-cap", "-1"]) == EXIT_CONFIG
-
-    def test_nan_reduce_cap_is_config_error(self, p3_file):
-        assert main(["solve", p3_file, "--reduce-cap", "nan"]) == EXIT_CONFIG
+    def test_reduce_cap_flag_rejected(self, p3_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", p3_file, "--time-limit", "0.1", "--reduce-cap", "1"])
+        assert exc.value.code == 2
 
 
 class TestExactCommand:

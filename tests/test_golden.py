@@ -9,6 +9,7 @@ A refactor that claims to preserve behaviour must leave every pinned value as
 it is.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,13 @@ from mwis import (
     composite_search,
     density_radius,
     region_search,
+)
+from mwis.exchange import (
+    EXCHANGE_MODULES,
+    _x0_pass,
+    _xy_pass,
+    two_improvement_pass,
+    two_three_pass,
 )
 
 from util import random_graph, random_maximal_is
@@ -372,3 +380,96 @@ GOLDEN_RESET = {
 )
 def test_golden_replay_with_reset(key):
     assert replay_from_construction(key, reset=True) == GOLDEN_RESET[key]
+
+
+# Every exchange neighbourhood, by name. The search runs them inside VND
+# loops; here each one runs alone, so each improving move it can make is pinned.
+PASSES = {
+    "two_improvement": two_improvement_pass,
+    **{f"xy_{x}_{y}": (lambda s, x=x, y=y: _xy_pass(s, x, y)) for x, y in EXCHANGE_MODULES},
+    "x0": _x0_pass,
+    "two_three": two_three_pass,
+}
+
+
+def replay_pass(key, name):
+    """Run one pass to exhaustion from a random maximal solution. Returns the
+    number of improving calls, the number of vertex moves, the final weight and
+    a SHA-256 of the solution in insertion order."""
+    seed, n, p = key
+    g = random_graph(random.Random(seed), n, p)
+    state = SolutionState(g, random_maximal_is(random.Random(seed), g))
+    improving = 0
+    while PASSES[name](state):
+        improving += 1
+    digest = hashlib.sha256(repr(list(state.cs)).encode()).hexdigest()
+    return improving, sum(state.freq), state.cs_weight, digest
+
+
+GOLDEN_PASSES = {
+    ((7, 300, 0.01), 'two_improvement'): (
+        10, 30, 15420, '4258374f75e4d290fc6611f395f13ee4f4010684caa97693a7d521f9133533a9',
+    ),
+    ((7, 300, 0.01), 'xy_1_1'): (
+        26, 117, 17515, '4dd279d6fa35fb18d882d5fc2b242e817e2bffe6fdefd7ab28c2c9f47ae8c2ef',
+    ),
+    ((7, 300, 0.01), 'xy_1_2'): (
+        8, 57, 15778, '4a20a4b24522f228ae9609c606c3536ee017853091f6c23417c024b34ab75bb7',
+    ),
+    ((7, 300, 0.01), 'xy_2_1'): (
+        8, 44, 15717, '3118782031a78457de43ae3712cd27a8117645b092eb08aaa0e850f0e7a3de42',
+    ),
+    ((7, 300, 0.01), 'xy_2_2'): (
+        3, 24, 15025, '8bd659f64c17367e9a47b5a41be4d03acf96f9d8644bf027e41c546278f9df73',
+    ),
+    ((7, 300, 0.01), 'xy_3_1'): (
+        1, 6, 14645, 'b00b5a88decd9ec5d3676197f8e3e1a219ffbdaf02c6f393fa7a7206ddf0ba7d',
+    ),
+    ((7, 300, 0.01), 'xy_3_2'): (
+        1, 9, 14635, '670704d9032cba3575975aff11f812a7e78e36f5832126f2870627c61462d03e',
+    ),
+    ((7, 300, 0.01), 'x0'): (
+        37, 90, 17380, 'b5cd832ec8e5e60954f28fdad9a881a98a6cbece4482085adc75c1b540a29b65',
+    ),
+    ((7, 300, 0.01), 'two_three'): (
+        6, 34, 15884, '706785651a3c1ac1ce9406234ae8e9200f36c1336626a771dcf34fd305f42fe9',
+    ),
+    ((8, 400, 0.008), 'two_improvement'): (
+        16, 48, 19943, '999e85eef2a53a30c68c317f55310680e79291721fb74233eabee550c6399be2',
+    ),
+    ((8, 400, 0.008), 'xy_1_1'): (
+        15, 67, 19979, '9558f5017461f3fbc87e6a01c097712a6bb842e6257043b309c823a91a66f1c2',
+    ),
+    ((8, 400, 0.008), 'xy_1_2'): (
+        8, 55, 19428, '189fc49ed3c191e3101d2e87f4bd0d2e169c77223fd6716407efae5e73fbda81',
+    ),
+    ((8, 400, 0.008), 'xy_2_1'): (
+        5, 28, 19007, '6f6bea2ad024abe88b09425c862b793cbb359095b13f5bc793ab800e9c833556',
+    ),
+    ((8, 400, 0.008), 'xy_2_2'): (
+        2, 14, 17968, '2fb622008eb357debdca0836971995bc4e117ea386001bb84a9a515e42f1e97a',
+    ),
+    ((8, 400, 0.008), 'xy_3_1'): (
+        1, 7, 18134, 'a937c01af2f4495bc11ae5cd968ab9c1294c01d1d20515740939dd624d090450',
+    ),
+    ((8, 400, 0.008), 'xy_3_2'): (
+        0, 0, 17812, '2545f872afb19d4bd0436e33d79bbe0d9272a58d004e3f11355f94403a7dc03a',
+    ),
+    ((8, 400, 0.008), 'x0'): (
+        47, 115, 21332, 'a7eda26b0394d2aa5f72f9b6f12159ffa5b6f1c9344a6af083e3971b6b3b200c',
+    ),
+    ((8, 400, 0.008), 'two_three'): (
+        8, 43, 19098, 'f59e1a4b11bae55ba402c05f999e7e4c450a04ba2b68ee0bce2d3232d3fb86b7',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PASSES)
+@pytest.mark.parametrize("key", SPARSE_INSTANCES, ids=lambda k: "s{}-n{}-p{}".format(*k))
+def test_golden_pass_replay(key, name):
+    assert replay_pass(key, name) == GOLDEN_PASSES[key, name]
+
+
+def test_pass_cases_improve_in_every_neighbourhood():
+    for name in PASSES:
+        assert any(GOLDEN_PASSES[key, name][0] > 0 for key in SPARSE_INSTANCES), name

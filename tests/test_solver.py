@@ -118,8 +118,6 @@ def test_time_limit_validation():
     [
         ("time_limit", float("nan")),
         ("time_limit", float("inf")),
-        ("reduce_cap", -1.0),
-        ("reduce_cap", float("nan")),
     ],
 )
 def test_nan_and_negative_limits_rejected(field, value):
