@@ -17,7 +17,7 @@ from .perturb import perturb_solution, sample_insertion_count
 from .reduction import Kernel, lift_solution, reduce_graph
 from .region import build_local_graph, region_search
 from .solver import SolveResult, SolverConfig, solve
-from .state import SolutionState
+from .state import Incumbent, SolutionState
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,7 @@ __all__ = [
     "reduce_graph",
     "lift_solution",
     "SolutionState",
+    "Incumbent",
     "density_radius",
     "greedy_construction",
     "reduction_construction",

@@ -157,7 +157,9 @@ def run_benchmark(specs: list[InstanceSpec], out, workers: int = 1) -> list[Benc
     instance, the order of its seeds, for any number of workers; each is
     written and flushed as soon as its run returns. One instance's graph is
     held at a time. Unreadable instances produce an N/A row and the run
-    continues."""
+    continues. Raises ConfigError, before writing anything, for workers < 1."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     out.flush()

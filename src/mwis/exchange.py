@@ -21,7 +21,7 @@ from enum import Enum
 from itertools import combinations
 
 from .perturb import pick_strategy, perturb_solution, sample_insertion_count
-from .state import SolutionState
+from .state import Incumbent, SolutionState
 
 # (tightness-one count, tightness-two count) per exchange module.
 EXCHANGE_MODULES: tuple[tuple[int, int], ...] = tuple(
@@ -273,73 +273,46 @@ def update_reward(table: RewardTable, module: int, outcome: Outcome) -> None:
 
 def composite_search(
     state: SolutionState,
-    best: dict[int, None],
+    inc: Incumbent,
     rng: random.Random,
     deadline: float = math.inf,
-    on_improve=None,
-) -> dict[int, None]:
+) -> bool:
     """Reward-guided rounds of module A, a roulette-picked EM module, and
-    module B on stagnant rounds. Ends once the reward sum falls back to its
-    starting value after at least one full round. Returns the best set seen."""
-    g = state.g
-    best = best.copy()
-    best_w = g.set_weight(best)
+    module B on stagnant rounds, offering the working solution to `inc` after
+    each module. Ends once the reward sum falls back to its starting value
+    after at least one full round. Returns whether `inc` improved."""
+    start = inc.weight
     table = RewardTable()
-
-    def note() -> None:
-        nonlocal best, best_w
-        if state.cs_weight > best_w:
-            best = state.cs.copy()
-            best_w = state.cs_weight
-            if on_improve is not None:
-                on_improve(best_w)
-
     while True:
         run_module_a(state, deadline)
-        note()
+        inc.offer(state)
         before = state.cs_weight
         module = select_module(table, rng)
         run_em_module(state, EXCHANGE_MODULES[module], deadline)
-        if state.cs_weight > best_w:
+        if inc.offer(state):
             outcome = Outcome.NEW_BEST
         elif state.cs_weight > before:
             outcome = Outcome.IMPROVED_CURRENT
         else:
             outcome = Outcome.NONE
-        note()
         update_reward(table, module, outcome)
         if outcome is Outcome.NONE:
             run_module_b(state, deadline)
-            note()
-        if table.sum_re <= table.initial:
+            inc.offer(state)
+        if table.sum_re <= table.initial or time.monotonic() >= deadline:
             break
-        if time.monotonic() >= deadline:
-            break
-    return best
+    return inc.weight > start
 
 
 def composite_search_loop(
-    state: SolutionState,
-    best: dict[int, None],
-    deadline: float,
-    rng: random.Random,
-    on_improve=None,
-) -> dict[int, None]:
+    state: SolutionState, inc: Incumbent, rng: random.Random, deadline: float
+) -> None:
     """Drive composite_search until the deadline, perturbing the working
-    solution after rounds that fail to improve the best one."""
-    g = state.g
-    best = best.copy()
-    best_w = g.set_weight(best)
+    solution after rounds that fail to improve `inc`."""
     while time.monotonic() < deadline:
-        round_best = composite_search(state, best, rng, deadline, on_improve)
-        round_w = g.set_weight(round_best)
-        improved = round_w > best_w
-        if improved:
-            best = round_best
-            best_w = round_w
+        improved = composite_search(state, inc, rng, deadline)
         state.tick(improved)
         if not improved:
             strategy = pick_strategy(rng)
             num = sample_insertion_count(1, rng)  # floor fixed at its lowest value
             perturb_solution(state, strategy, num, rng)
-    return best

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .descent import adaptive_descent
 from .graph import Graph, induced_subgraph
-from .state import SolutionState
+from .state import Incumbent, SolutionState
 
 
 @dataclass
@@ -104,26 +104,28 @@ def _greedy_by_weight(g: Graph) -> list[int]:
 
 def region_search(
     state: SolutionState,
-    best: dict[int, None],
+    inc: Incumbent,
     radius_base: int,
     search_depth: int,
     rng: random.Random,
     deadline: float = math.inf,
     on_improve=None,
     stats_out: dict | None = None,
-) -> tuple[dict[int, None], bool]:
+) -> bool:
     """Run bounded descents inside regions centered on the least-visited
-    solution vertices, splicing every strict improvement into both the working
-    and the best solution. Expects the working solution to equal `best`.
+    solution vertices, splicing every strict improvement into the working
+    solution and offering it to `inc`. Expects the working solution to equal
+    `inc.best`.
 
     Examines one budget segment of centers (a hundredth of the solution, at
     least one); each fully fruitless segment extends the budget by another
-    segment. Returns the (possibly improved) best set and whether any splice
-    happened.
+    segment. `on_improve(weight)` hears the new weight once per splice, after
+    `inc` has banked it; it is kept apart from `inc.on_improve` so that a
+    caller can count splices alone. `stats_out` receives the number of centers
+    examined and the final budget. Returns whether any splice happened.
     """
     g = state.g
-    best = best.copy()
-    flag = False
+    spliced = False
     pool = list(state.cs)
     freq = state.freq
     budget = max(1, len(state.cs) // 100)
@@ -131,31 +133,27 @@ def region_search(
     radius = max(1, radius_base)
     size_cap = max(10_000, g.n // 5)
 
-    while c <= min(len(state.cs), budget) and pool:
-        if time.monotonic() >= deadline:
-            break
+    while c <= min(len(state.cs), budget) and pool and time.monotonic() < deadline:
         pick = min(range(len(pool)), key=lambda i: (freq[pool[i]], pool[i]))
         center = pool.pop(pick)
         c += 1
         region = build_local_graph(g, state.cs, center, radius, max_size=size_cap)
-        inside_w = region.graph.set_weight(region.solu1)
         local_state = SolutionState(region.graph, _greedy_by_weight(region.graph))
-        refined = adaptive_descent(local_state, region.solu1, search_depth, rng, deadline)
-        refined_w = region.graph.set_weight(refined)
-        if refined_w > inside_w:
+        local = Incumbent(region.graph, region.solu1)
+        if adaptive_descent(local_state, local, search_depth, rng, deadline):
             old_global = {region.to_global[u] for u in region.solu1}
-            new_global = {region.to_global[u] for u in refined}
+            new_global = {region.to_global[u] for u in local.best}
             for u in sorted(old_global - new_global):
                 state.remove_vertex(u)
             for u in sorted(new_global - old_global):
                 state.add_vertex(u)
-            best = state.cs.copy()
-            flag = True
+            inc.offer(state)
+            spliced = True
             if on_improve is not None:
                 on_improve(state.cs_weight)
-        if not flag and c == budget:
+        if not spliced and c == budget:
             budget += max(1, len(state.cs) // 100)
 
     if stats_out is not None:
         stats_out.update(centers=c, final_budget=budget)
-    return best, flag
+    return spliced

@@ -19,7 +19,7 @@ from .exchange import composite_search, composite_search_loop
 from .graph import Graph
 from .reduction import lift_solution, reduce_graph
 from .region import region_search
-from .state import SolutionState
+from .state import Incumbent, SolutionState
 
 SEARCH_DEPTH = 100  # stagnation budget of each region descent
 REDUCE_CAP = 200.0  # seconds kernelization may run, at most time_limit
@@ -68,52 +68,44 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     trace: list[tuple[float, int]] = []
 
     def note(kernel_weight: int) -> None:
-        total = kernel_weight + kernel.offset
-        if not trace or total > trace[-1][1]:
-            trace.append((time.monotonic() - start, total))
+        trace.append((time.monotonic() - start, kernel_weight + kernel.offset))
 
+    inc = Incumbent(kg, (), note)
     iterations = 0
     if kg.n == 0:
-        best_kernel: dict[int, None] = {}
         note(0)
     else:
         radius = density_radius(kg)
         state = SolutionState(kg, build_initial_solution(kg, radius))
         state.maximize()
-        best = state.cs.copy()
-        note(state.cs_weight)
+        inc.offer(state)
         if radius <= 2:
-            best = composite_search_loop(state, best, deadline, rng, note)
+            composite_search_loop(state, inc, rng, deadline)
         else:
             while time.monotonic() < deadline:
-                best = adaptive_descent(state, best, -1, rng, deadline, note)
-                state.reset_solution(best)
-                best, improved_here = region_search(
-                    state, best, radius, SEARCH_DEPTH, rng, deadline, note
-                )
-                if not improved_here:
-                    best = composite_search(state, best, rng, deadline, note)
-                    state.reset_solution(best)
+                adaptive_descent(state, inc, -1, rng, deadline)
+                state.reset_solution(inc.best)
+                if not region_search(state, inc, radius, SEARCH_DEPTH, rng, deadline):
+                    composite_search(state, inc, rng, deadline)
+                    state.reset_solution(inc.best)
         iterations = state.iter
 
         # A deadline can interrupt mid-pass; make sure the answer is maximal.
-        state.reset_solution(best)
-        if state.maximize() > 0:
-            best = state.cs.copy()
-            note(state.cs_weight)
-        best_kernel = best
+        state.reset_solution(inc.best)
+        state.maximize()
+        inc.offer(state)
 
-    members = lift_solution(kernel, best_kernel)
+    members = lift_solution(kernel, inc.best)
     if not g.is_independent(members):
         raise RuntimeError("internal error: lifted solution is not independent")
     weight = g.set_weight(members)
-    if weight != kg.set_weight(best_kernel) + kernel.offset:
+    if weight != kg.set_weight(inc.best) + kernel.offset:
         raise RuntimeError("internal error: lifted weight does not match kernel weight")
     elapsed = time.monotonic() - start
     return SolveResult(
         best_set=tuple(members),
         best_weight=weight,
-        time_to_best=trace[-1][0] if trace else elapsed,
+        time_to_best=trace[-1][0],
         iterations=iterations,
         trace=trace,
         kernel_n=kg.n,

@@ -1,4 +1,5 @@
-"""Mutable search state: the working solution and its incremental statistics."""
+"""Mutable search state: the working solution and its incremental statistics,
+and the incumbent that keeps the best solution a search has seen."""
 
 from __future__ import annotations
 
@@ -204,3 +205,29 @@ class SolutionState:
                 raise AssertionError(f"free pool wrong for {v}")
             if (v in self.non_cs) != (v not in members):
                 raise AssertionError(f"complement pool wrong for {v}")
+
+
+class Incumbent:
+    """The best solution seen so far, shared by every search routine of a solve.
+
+    `best` is insertion-ordered: `reset_solution(inc.best)` hands that order to
+    the working solution, where it fixes what the seeded sampling draws return.
+    `on_improve(weight)` hears every new best, at the moment it is banked.
+    """
+
+    __slots__ = ("best", "weight", "on_improve")
+
+    def __init__(self, g: Graph, members: Iterable[int] = (), on_improve=None):
+        self.best: dict[int, None] = dict.fromkeys(members)
+        self.weight = g.set_weight(self.best)
+        self.on_improve = on_improve
+
+    def offer(self, state: SolutionState) -> bool:
+        """Bank a copy of the working solution if it is strictly heavier."""
+        if state.cs_weight <= self.weight:
+            return False
+        self.best = state.cs.copy()
+        self.weight = state.cs_weight
+        if self.on_improve is not None:
+            self.on_improve(self.weight)
+        return True

@@ -16,6 +16,7 @@ import pytest
 
 from mwis import (
     RewardTable,
+    Incumbent,
     SolutionState,
     SolverConfig,
     VertexSet,
@@ -235,7 +236,7 @@ def test_criterion_8_per_iteration_scaling():
             rng = random.Random(seed)
             start = time.monotonic()
             adaptive_descent(
-                state, state.cs.copy(), -1, rng,
+                state, Incumbent(state.g, state.cs), -1, rng,
                 deadline=start + budget,
             )
             elapsed = time.monotonic() - start

@@ -150,6 +150,15 @@ class TestBenchCommand:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("instance,")
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_config_error(self, p3_file, tmp_path, capsys, workers):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"path": p3_file, "time_limit": 0.1, "seeds": [1]}]))
+        assert main(["bench", str(spec), "--workers", workers]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no CSV header
+        assert "workers must be at least 1" in captured.err
+
     def test_bad_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([{"path": "x.metis", "seeds": []}]))

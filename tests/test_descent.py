@@ -3,21 +3,23 @@ import time
 
 import pytest
 
-from mwis import SolutionState, adaptive_descent, brute_force_mwis
+from mwis import Incumbent, SolutionState, adaptive_descent, brute_force_mwis
 
-from util import p3_151, random_graph
+from util import p3_151, random_gnm_graph, random_graph
 
 
 def test_path_descends_to_optimum():
     s = SolutionState(p3_151(), [0, 2])
-    best = adaptive_descent(s, s.cs.copy(), -1, random.Random(1))
-    assert set(best) == {1}
+    inc = Incumbent(s.g, s.cs)
+    assert adaptive_descent(s, inc, -1, random.Random(1))
+    assert set(inc.best) == {1}
 
 
 def test_depth_one_attempts_exactly_one_perturbation():
     s = SolutionState(p3_151(), [1])  # already locally optimal for module A
-    best = adaptive_descent(s, s.cs.copy(), 1, random.Random(1))
-    assert set(best) == {1}
+    inc = Incumbent(s.g, s.cs)
+    assert not adaptive_descent(s, inc, 1, random.Random(1))
+    assert set(inc.best) == {1}
     assert s.iter == 1  # one perturbation round ran before the budget tripped
     assert sum(s.freq) > 0
 
@@ -25,9 +27,9 @@ def test_depth_one_attempts_exactly_one_perturbation():
 def test_invalid_depth_rejected():
     s = SolutionState(p3_151())
     with pytest.raises(ValueError):
-        adaptive_descent(s, s.cs.copy(), 0, random.Random(1))
+        adaptive_descent(s, Incumbent(s.g), 0, random.Random(1))
     with pytest.raises(ValueError):
-        adaptive_descent(s, s.cs.copy(), -2, random.Random(1))
+        adaptive_descent(s, Incumbent(s.g), -2, random.Random(1))
 
 
 def test_best_is_monotone_and_independent():
@@ -37,9 +39,11 @@ def test_best_is_monotone_and_independent():
         s = SolutionState(g)
         s.maximize()
         start = s.cs_weight
-        best = adaptive_descent(s, s.cs.copy(), 40, rng)
-        assert g.set_weight(best) >= start
-        assert g.is_independent(best)
+        inc = Incumbent(g, s.cs)
+        improved = adaptive_descent(s, inc, 40, rng)
+        assert inc.weight == g.set_weight(inc.best) >= start
+        assert improved == (inc.weight > start)
+        assert g.is_independent(inc.best)
         assert s.uiter <= 40
 
 
@@ -47,7 +51,7 @@ def test_stagnation_budget_respected():
     g = random_graph(random.Random(8), 15, 0.3)
     s = SolutionState(g)
     s.maximize()
-    adaptive_descent(s, s.cs.copy(), 5, random.Random(8))
+    adaptive_descent(s, Incumbent(g, s.cs), 5, random.Random(8))
     assert s.uiter <= 5
 
 
@@ -61,11 +65,12 @@ def test_random_instances_reach_optimum():
     for seed in range(1, 101):
         s = SolutionState(g)
         s.maximize()
-        best = adaptive_descent(
-            s, s.cs.copy(), -1, random.Random(seed),
+        inc = Incumbent(g, s.cs)
+        adaptive_descent(
+            s, inc, -1, random.Random(seed),
             deadline=time.monotonic() + 0.3,
         )
-        w = g.set_weight(best)
+        w = g.set_weight(inc.best)
         assert w <= opt
         hits += w == opt
     assert hits >= 95
@@ -77,6 +82,36 @@ def test_deterministic_per_seed():
     for _ in range(2):
         s = SolutionState(g)
         s.maximize()
-        best = adaptive_descent(s, s.cs.copy(), 60, random.Random(5))
-        outs.append(sorted(best))
+        inc = Incumbent(g, s.cs)
+        adaptive_descent(s, inc, 60, random.Random(5))
+        outs.append(sorted(inc.best))
     assert outs[0] == outs[1]
+
+
+def test_interrupt_keeps_the_banked_best(monkeypatch):
+    # Ctrl-C in the middle of a global descent: every best found before it is
+    # already banked in the incumbent, set and weight together.
+    import mwis.descent
+
+    g = random_gnm_graph(random.Random(3), 400, 1200)
+    s = SolutionState(g)
+    s.maximize()
+    seen: list[int] = []
+    inc = Incumbent(g, s.cs, seen.append)
+    real = mwis.descent.run_module_a
+    calls = 0
+
+    def interrupted(state, deadline):
+        nonlocal calls
+        calls += 1
+        if calls == 200:
+            raise KeyboardInterrupt
+        return real(state, deadline)
+
+    monkeypatch.setattr(mwis.descent, "run_module_a", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        adaptive_descent(s, inc, -1, random.Random(3))
+    assert s.cs_weight < inc.weight  # the working solution has moved off the best
+    assert inc.weight == seen[-1]
+    assert inc.weight == g.set_weight(inc.best)
+    assert g.is_independent(inc.best)

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from mwis import (
+    Incumbent,
     RewardTable,
     SolutionState,
     brute_force_mwis,
@@ -270,13 +271,15 @@ class TestSelectModule:
 class TestCompositeSearch:
     def test_path_to_optimum(self):
         s = SolutionState(p3_151(), [0, 2])
-        best = composite_search(s, s.cs.copy(), random.Random(1))
-        assert set(best) == {1}
+        inc = Incumbent(s.g, s.cs)
+        assert composite_search(s, inc, random.Random(1))
+        assert set(inc.best) == {1}
 
     def test_optimal_input_terminates_quickly(self):
         s = SolutionState(p3_151(), [1])
-        best = composite_search(s, s.cs.copy(), random.Random(1))
-        assert set(best) == {1}
+        inc = Incumbent(s.g, s.cs)
+        assert not composite_search(s, inc, random.Random(1))
+        assert set(inc.best) == {1}
         assert set(s.cs) == {1}
 
     def test_deterministic_per_seed(self):
@@ -285,8 +288,9 @@ class TestCompositeSearch:
         for _ in range(2):
             s = SolutionState(g)
             s.maximize()
-            best = composite_search(s, s.cs.copy(), random.Random(55))
-            outs.append(sorted(best))
+            inc = Incumbent(g, s.cs)
+            composite_search(s, inc, random.Random(55))
+            outs.append(sorted(inc.best))
         assert outs[0] == outs[1]
 
 
@@ -295,8 +299,9 @@ class TestCompositeSearchLoop:
         import time
 
         s = SolutionState(p3_151(), [0, 2])
-        best = composite_search_loop(s, s.cs.copy(), time.monotonic(), random.Random(1))
-        assert set(best) == {0, 2}
+        inc = Incumbent(s.g, s.cs)
+        composite_search_loop(s, inc, random.Random(1), time.monotonic())
+        assert set(inc.best) == {0, 2}
 
     def test_monotone_best(self):
         import time
@@ -306,9 +311,10 @@ class TestCompositeSearchLoop:
         s = SolutionState(g)
         s.maximize()
         start_w = s.cs_weight
-        best = composite_search_loop(s, s.cs.copy(), time.monotonic() + 0.2, random.Random(1))
-        assert g.set_weight(best) >= start_w
-        assert g.is_independent(best)
+        inc = Incumbent(g, s.cs)
+        composite_search_loop(s, inc, random.Random(1), time.monotonic() + 0.2)
+        assert inc.weight == g.set_weight(inc.best) >= start_w
+        assert g.is_independent(inc.best)
 
     def test_dense_instances_reach_optimum(self):
         # stronger variant of the documented behavior: a 0.15 s budget per run
@@ -322,10 +328,9 @@ class TestCompositeSearchLoop:
         for seed in range(1, 101):
             s = SolutionState(g)
             s.maximize()
-            best = composite_search_loop(
-                s, s.cs.copy(), time.monotonic() + 0.15, random.Random(seed)
-            )
-            w = g.set_weight(best)
+            inc = Incumbent(g, s.cs)
+            composite_search_loop(s, inc, random.Random(seed), time.monotonic() + 0.15)
+            w = g.set_weight(inc.best)
             assert w <= opt
             hits += w == opt
         assert hits >= 95
@@ -372,8 +377,9 @@ def test_composite_search_never_exceeds_optimum_from_any_start():
         _, opt = brute_force_mwis(g)
         for start in _all_maximal_independent_sets(g):
             s = SolutionState(g, start)
-            best = composite_search(s, s.cs.copy(), random.Random(1))
-            assert g.set_weight(best) <= opt
+            inc = Incumbent(g, s.cs)
+            composite_search(s, inc, random.Random(1))
+            assert g.set_weight(inc.best) <= opt
 
 
 def test_composite_search_solves_stars_from_any_start():
@@ -388,8 +394,9 @@ def test_composite_search_solves_stars_from_any_start():
             _, opt = brute_force_mwis(g)
             for start in _all_maximal_independent_sets(g):
                 s = SolutionState(g, start)
-                best = composite_search(s, s.cs.copy(), random.Random(1))
-                assert g.set_weight(best) == opt, (g.weights, start)
+                inc = Incumbent(g, s.cs)
+                composite_search(s, inc, random.Random(1))
+                assert g.set_weight(inc.best) == opt, (g.weights, start)
 
 
 def test_full_solver_exact_on_small_paths_and_cycles():
@@ -422,22 +429,25 @@ def test_alternation_traps_stall_without_perturbation():
 
     trap_cycle = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [6, 6, 1, 3])
     s = SolutionState(trap_cycle, [0, 2])
-    stalled = composite_search(s, s.cs.copy(), random.Random(1))
-    assert trap_cycle.set_weight(stalled) == 7
+    stalled = Incumbent(trap_cycle, s.cs)
+    composite_search(s, stalled, random.Random(1))
+    assert stalled.weight == 7
     assert brute_force_mwis(trap_cycle)[1] == 9
     assert solve(trap_cycle, SolverConfig(time_limit=0.3, seed=1)).best_weight == 9
 
     trap_path = path_graph([1, 6, 8, 6, 1])
     s = SolutionState(trap_path, [0, 2, 4])
-    stalled = composite_search(s, s.cs.copy(), random.Random(1))
-    assert trap_path.set_weight(stalled) == 10
+    stalled = Incumbent(trap_path, s.cs)
+    composite_search(s, stalled, random.Random(1))
+    assert stalled.weight == 10
     assert brute_force_mwis(trap_path)[1] == 12
     assert solve(trap_path, SolverConfig(time_limit=0.3, seed=1)).best_weight == 12
 
     plateau_path = path_graph([1] * 7)
     s = SolutionState(plateau_path, [1, 3, 5])
-    stalled = composite_search(s, s.cs.copy(), random.Random(1))
-    assert plateau_path.set_weight(stalled) == 3
+    stalled = Incumbent(plateau_path, s.cs)
+    composite_search(s, stalled, random.Random(1))
+    assert stalled.weight == 3
     assert brute_force_mwis(plateau_path)[1] == 4
     assert solve(plateau_path, SolverConfig(time_limit=0.3, seed=1)).best_weight == 4
 

@@ -1,4 +1,4 @@
-"""Golden replay of the seeded search components.
+"""Golden replay of the seeded search components and of `solve`.
 
 Each (instance, call) pair pins what one seeded run with no deadline leaves
 behind: the iteration count, the number of vertex moves on the working
@@ -15,12 +15,16 @@ import random
 import pytest
 
 from mwis import (
+    Incumbent,
     SolutionState,
+    SolverConfig,
+    assign_weights_family_b,
     adaptive_descent,
     build_initial_solution,
     composite_search,
     density_radius,
     region_search,
+    solve,
 )
 from mwis.exchange import (
     EXCHANGE_MODULES,
@@ -30,7 +34,7 @@ from mwis.exchange import (
     two_three_pass,
 )
 
-from util import random_graph, random_maximal_is
+from util import random_gnm_graph, random_graph, random_maximal_is, use_counting_clock
 
 # (seed, n, p): sparse and dense random graphs from 20 to 200 vertices.
 INSTANCES = [(1, 20, 0.3), (2, 40, 0.5), (3, 80, 0.05), (4, 120, 0.2), (5, 200, 0.03), (6, 200, 0.3)]
@@ -45,16 +49,16 @@ def replay(key, call):
     g = random_graph(random.Random(seed), n, p)
     state = SolutionState(g, random_maximal_is(random.Random(seed), g))
     rng = random.Random(seed)
-    start = state.cs.copy()
+    inc = Incumbent(g, state.cs)
     if call == "descent_global":
-        best = adaptive_descent(state, start, -1, rng)
+        adaptive_descent(state, inc, -1, rng)
     elif call == "descent_40":
-        best = adaptive_descent(state, start, 40, rng)
+        adaptive_descent(state, inc, 40, rng)
     elif call == "composite":
-        best = composite_search(state, start, rng)
+        composite_search(state, inc, rng)
     else:
-        best, _ = region_search(state, start, 2, 10, rng)
-    return state.iter, sum(state.freq), sorted(best)
+        region_search(state, inc, 2, 10, rng)
+    return state.iter, sum(state.freq), sorted(inc.best)
 
 
 def replay_from_construction(key, reset=False):
@@ -66,11 +70,12 @@ def replay_from_construction(key, reset=False):
     g = random_graph(random.Random(seed), n, p)
     state = SolutionState(g, build_initial_solution(g, density_radius(g)))
     rng = random.Random(seed)
-    best = adaptive_descent(state, state.cs.copy(), 40, rng)
+    inc = Incumbent(g, state.cs)
+    adaptive_descent(state, inc, 40, rng)
     if reset:
-        state.reset_solution(best)
-        best = adaptive_descent(state, best, 40, rng)
-    return state.iter, sum(state.freq), sorted(best)
+        state.reset_solution(inc.best)
+        adaptive_descent(state, inc, 40, rng)
+    return state.iter, sum(state.freq), sorted(inc.best)
 
 
 GOLDEN = {
@@ -473,3 +478,41 @@ def test_golden_pass_replay(key, name):
 def test_pass_cases_improve_in_every_neighbourhood():
     for name in PASSES:
         assert any(GOLDEN_PASSES[key, name][0] > 0 for key in SPARSE_INSTANCES), name
+
+
+# solve() under a clock that advances 1 µs per read, so the time limit becomes
+# a fixed number of clock reads: (seed, n, m, time_limit) -> (best_weight,
+# iterations, trace as (clock reads since the start, weight), SHA-256 of
+# repr(best_set)). The sparse case runs global descent, then region search
+# (47 centres, no splice; the region_10 cases above pin splices) and composite
+# recovery; the dense one runs the composite loop. Any change to where or in
+# what order the solver reads the clock also shows up here.
+GOLDEN_SOLVE = {
+    (2, 300, 600, 0.12): (
+        15771,
+        3093,
+        [(204, 15649), (217, 15692), (391, 15702), (1283, 15716), (1332, 15719), (1579, 15771)],
+        "583576f162b927db99fd9b53c92a555234962bfe8a3d0bd6eefb22ecf60d607f",
+    ),
+    (1, 300, 9000, 0.01): (
+        3819,
+        457,
+        [
+            (12, 3332), (26, 3516), (32, 3520), (76, 3565), (94, 3628), (271, 3632),
+            (429, 3636), (519, 3696), (1242, 3703), (1339, 3708), (1344, 3747),
+            (1352, 3781), (8400, 3819),
+        ],
+        "abbbf8442bea7c53728d1b4847491b3eca0ada896acd03fc75910ceb31682e93",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", GOLDEN_SOLVE, ids=lambda k: "s{}-n{}-m{}".format(*k))
+def test_golden_solve_under_counting_clock(key, monkeypatch):
+    seed, n, m, limit = key
+    use_counting_clock(monkeypatch)
+    g = assign_weights_family_b(random_gnm_graph(random.Random(seed), n, m), seed=seed)
+    r = solve(g, SolverConfig(time_limit=limit, seed=seed))
+    trace = [(round(t * 1e6), w) for t, w in r.trace]
+    digest = hashlib.sha256(repr(r.best_set).encode()).hexdigest()
+    assert (r.best_weight, r.iterations, trace, digest) == GOLDEN_SOLVE[key]

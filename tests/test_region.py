@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mwis import SolutionState, build_graph, build_local_graph, region_search
+from mwis import Incumbent, SolutionState, build_graph, build_local_graph, region_search
 
 from util import edgeless_graph, path_graph, random_graph, random_maximal_is
 
@@ -81,30 +81,32 @@ class TestRegionSearch:
     def test_empty_solution_returns_immediately(self):
         g = path_graph([1, 1, 1])
         s = self._state_with(g, [])
-        best, improved = region_search(s, s.cs.copy(), 1, 10, random.Random(1))
-        assert not improved
-        assert len(best) == 0
+        inc = Incumbent(g, s.cs)
+        assert not region_search(s, inc, 1, 10, random.Random(1))
+        assert len(inc.best) == 0
 
     def test_improving_splice(self):
         # Heavy vertex 1 is outside the current solution; a region around a
         # low-frequency center must swap it in.
         g = path_graph([1, 5, 1, 1, 1, 1])
         s = self._state_with(g, [0, 3, 5])
-        best, improved = region_search(s, s.cs.copy(), 2, 10, random.Random(1))
-        assert improved
-        assert 1 in best
-        assert g.set_weight(best) > 3
+        inc = Incumbent(g, s.cs)
+        splices: list[int] = []
+        assert region_search(s, inc, 2, 10, random.Random(1), on_improve=splices.append)
+        assert 1 in inc.best
+        assert g.set_weight(inc.best) > 3
         s.check_invariants()
-        assert s.cs == best
+        assert s.cs == inc.best
+        # one splice, heard once, with the weight the incumbent banked
+        assert splices == [inc.weight]
 
     def test_budget_growth_on_fruitless_segments(self):
         g = edgeless_graph([1] * 250)
         s = self._state_with(g, list(range(250)))  # already optimal everywhere
         stats: dict = {}
-        best, improved = region_search(
-            s, s.cs.copy(), 1, 5, random.Random(1), stats_out=stats
+        assert not region_search(
+            s, Incumbent(g, s.cs), 1, 5, random.Random(1), stats_out=stats
         )
-        assert not improved
         # segment size is 2 for 250 members; every segment is fruitless, so the
         # budget stretches by 2 at each boundary until the list is exhausted
         assert stats["centers"] == 250
@@ -115,12 +117,10 @@ class TestRegionSearch:
         g = path_graph([1, 5, 1] + [1] * 300)
         s = SolutionState(g, list(range(0, 303, 2)))
         stats: dict = {}
-        best, improved = region_search(
-            s, s.cs.copy(), 2, 10, random.Random(1), stats_out=stats
-        )
-        assert improved
-        assert 1 in best
-        assert g.set_weight(best) == 155
+        inc = Incumbent(g, s.cs)
+        assert region_search(s, inc, 2, 10, random.Random(1), stats_out=stats)
+        assert 1 in inc.best
+        assert g.set_weight(inc.best) == 155
         # the first segment already improved, so the budget never grew
         assert stats["final_budget"] == 1
 
@@ -129,9 +129,8 @@ class TestRegionSearch:
         for _ in range(15):
             g = random_graph(rng, rng.randint(20, 120), 0.05)
             s = SolutionState(g, random_maximal_is(rng, g))
-            best, improved = region_search(
-                s, s.cs.copy(), 2, 20, rng
-            )
+            inc = Incumbent(g, s.cs)
+            improved = region_search(s, inc, 2, 20, rng)
             s.check_invariants()
-            assert g.is_independent(best)
-            assert s.cs == best or not improved
+            assert g.is_independent(inc.best)
+            assert s.cs == inc.best or not improved

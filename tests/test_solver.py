@@ -58,16 +58,18 @@ def test_sparse_regime_without_reduction():
 
 
 def test_result_fields_consistent():
-    g = c4_3131()
-    r = solve(g, SolverConfig(time_limit=0.3, seed=2))
-    assert r.best_weight == g.set_weight(r.best_set)
-    assert g.is_independent(r.best_set)
-    assert r.best_set == tuple(sorted(r.best_set))
-    assert 0 <= r.time_to_best <= r.elapsed + 1e-6
-    assert r.trace
-    weights = [w for _, w in r.trace]
-    assert weights == sorted(weights)
-    assert weights[-1] == r.best_weight
+    # One graph that kernelizes away and one whose search improves on the
+    # constructed solution.
+    for g in (c4_3131(), random_graph(random.Random(31), 40, 0.2)):
+        r = solve(g, SolverConfig(time_limit=0.3, seed=2))
+        assert r.best_weight == g.set_weight(r.best_set)
+        assert g.is_independent(r.best_set)
+        assert r.best_set == tuple(sorted(r.best_set))
+        assert 0 <= r.time_to_best <= r.elapsed + 1e-6
+        assert r.trace
+        weights = [w for _, w in r.trace]
+        assert all(a < b for a, b in zip(weights, weights[1:]))
+        assert weights[-1] == r.best_weight
 
 
 def test_kernel_stats_reported():

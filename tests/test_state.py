@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mwis import SolutionState
+from mwis import Incumbent, SolutionState
 
 from util import c4_3131, edgeless_graph, p3_151, random_graph, random_maximal_is
 
@@ -226,3 +226,31 @@ def test_randomized_operations_stay_consistent():
                 s.tick(rng.random() < 0.2)
         s.check_invariants()
         assert [s.change[v] for v in range(g.n)] == balance
+
+
+class TestIncumbent:
+    def test_starts_from_members_in_order(self):
+        inc = Incumbent(p3_151(), [2, 0])
+        assert list(inc.best) == [2, 0]
+        assert inc.weight == 2
+
+    def test_offer_banks_only_strictly_heavier(self):
+        g = p3_151()
+        seen: list[int] = []
+        inc = Incumbent(g, [0, 2], seen.append)
+        s = SolutionState(g, [1])
+        assert inc.offer(s)
+        assert list(inc.best) == [1] and inc.weight == 5 and seen == [5]
+        s.reset_solution([0, 2])
+        assert not inc.offer(s)
+        s.reset_solution([1])
+        assert not inc.offer(s)  # equal weight is not an improvement
+        assert seen == [5]
+
+    def test_banked_set_is_a_copy(self):
+        g = p3_151()
+        inc = Incumbent(g)
+        s = SolutionState(g, [1])
+        inc.offer(s)
+        s.remove_vertex(1)
+        assert list(inc.best) == [1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import importlib
 import math
 import random
 import time
@@ -12,6 +13,25 @@ from mwis.oracle import _adjacency_masks, _mask_vertices
 from mwis.reduction import RULE_NAMES, Kernel, resolve_trace
 
 EXHAUSTIVE_LIMIT = 20
+
+class CountingClock:
+    """Stand-in for the `time` module whose monotonic() advances 1 µs per
+    read, so a deadline becomes a fixed number of clock reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return self.reads * 1e-6
+
+
+def use_counting_clock(monkeypatch) -> None:
+    """Point every solver module that reads the clock at one fresh
+    CountingClock; pytest's own clock stays real."""
+    clock = CountingClock()
+    for name in ("solver", "descent", "exchange", "region", "reduction"):
+        monkeypatch.setattr(importlib.import_module(f"mwis.{name}"), "time", clock)
 
 
 def random_graph(rng: random.Random, n: int, p: float, max_weight: int = 200) -> Graph:
