@@ -85,20 +85,17 @@ class InstanceSpec:
                     raise ConfigError(f"{where}: {key} must be a JSON {kind}")
         if any(type(seed) is not int for seed in merged.get("seeds", [])):
             raise ConfigError(f"{where}: seeds must be integers")
+        # A key left unset takes the InstanceSpec default.
+        given = {attr: merged[key] for key, attr in (("format", "fmt"), ("name", "name")) if key in merged}
+        if "seeds" in merged:
+            given["seeds"] = list(merged["seeds"])
         try:
-            config = SolverConfig(**{key: merged[key] for key in SOLVER_KEYS if key in merged})
-            mode, seed = parse_weight_mode(merged.get("weights", "file"))
+            given["config"] = SolverConfig(**{key: merged[key] for key in SOLVER_KEYS if key in merged})
+            if "weights" in merged:
+                given["weight_mode"], given["weight_seed"] = parse_weight_mode(merged["weights"])
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        return cls(
-            path=merged["path"],
-            fmt=merged.get("format", "metis"),
-            weight_mode=mode,
-            weight_seed=seed,
-            seeds=list(merged.get("seeds", [1, 2, 3, 4, 5])),
-            config=config,
-            name=merged.get("name", ""),
-        )
+        return cls(merged["path"], **given)
 
 
 def load_bench_spec(text: str) -> list[InstanceSpec]:
@@ -151,6 +148,11 @@ def csv_row(row: BenchRow, run: SeedRun) -> list:
     ]
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+
+
 def run_benchmark(specs: list[InstanceSpec], out, workers: int = 1) -> list[BenchRow]:
     """Solve every (instance, seed) job, write CSV rows to `out`, and return
     one aggregated row per instance. Rows follow spec order and, within an
@@ -158,8 +160,7 @@ def run_benchmark(specs: list[InstanceSpec], out, workers: int = 1) -> list[Benc
     written and flushed as soon as its run returns. One instance's graph is
     held at a time. Unreadable instances produce an N/A row and the run
     continues. Raises ConfigError, before writing anything, for workers < 1."""
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    check_workers(workers)
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     out.flush()

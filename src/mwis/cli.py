@@ -13,13 +13,14 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .bench import (
     CSV_HEADER,
     BenchRow,
-    ConfigError,
     SeedRun,
+    check_workers,
     csv_row,
     load_bench_spec,
     parse_weight_mode,
@@ -123,8 +124,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     g, ids = load_graph(args.file, args.format, *parse_weight_mode(args.weights))
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ConfigError(f"exact solve handles at most {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
     best, weight = brute_force_mwis(g)
     print(f"weight        {weight}")
     print(f"size          {len(best)}")
@@ -134,11 +133,9 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bench(args) -> int:
     specs = load_bench_spec(Path(args.spec).read_text())
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            rows = run_benchmark(specs, fh, workers=args.workers)
-    else:
-        rows = run_benchmark(specs, sys.stdout, workers=args.workers)
+    check_workers(args.workers)  # before --csv truncates its file
+    with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as out:
+        rows = run_benchmark(specs, out, workers=args.workers)
     if args.summary:
         Path(args.summary).write_text(json.dumps(summarize(rows), indent=2) + "\n")
     return EXIT_OK
@@ -164,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,10 @@ from .reduction import _Reducer, resolve_trace
 # pathological near-unit average degrees fall back to float arithmetic.
 _EXACT_TERMS = 64
 
+# Graphs whose density radius is at most this are dense: they get the greedy
+# construction and the composite search loop.
+DENSE_RADIUS = 2
+
 
 def density_radius(g: Graph) -> int:
     """Smallest level L such that sum_{i=0}^{L} avg_deg^i reaches n/10.
@@ -150,7 +154,7 @@ def _compact_heap(
 
 def build_initial_solution(g: Graph, radius: int) -> list[int]:
     """Initial maximal independent set: reduction-guided for sparse graphs
-    (radius > 2), greedy score-based otherwise."""
-    if radius > 2:
+    (radius > DENSE_RADIUS), greedy score-based otherwise."""
+    if radius > DENSE_RADIUS:
         return reduction_construction(g)
     return greedy_construction(g)

@@ -242,12 +242,10 @@ class Outcome(Enum):
 class RewardTable:
     """Per-module rewards driving roulette selection of exchange modules."""
 
-    __slots__ = ("re", "sum_re", "initial")
+    __slots__ = ("re",)
 
     def __init__(self, size: int = len(EXCHANGE_MODULES)):
         self.re = [1] * size
-        self.sum_re = size
-        self.initial = size
 
 
 def select_module(table: RewardTable, rng: random.Random) -> int:
@@ -263,12 +261,7 @@ def select_module(table: RewardTable, rng: random.Random) -> int:
 
 
 def update_reward(table: RewardTable, module: int, outcome: Outcome) -> None:
-    if outcome is Outcome.NONE:
-        table.re[module] = max(1, table.re[module] - 1)
-        table.sum_re -= 1
-    else:
-        table.re[module] += outcome.value
-        table.sum_re += outcome.value
+    table.re[module] = max(1, table.re[module] + outcome.value)
 
 
 def composite_search(
@@ -279,10 +272,11 @@ def composite_search(
 ) -> bool:
     """Reward-guided rounds of module A, a roulette-picked EM module, and
     module B on stagnant rounds, offering the working solution to `inc` after
-    each module. Ends once the reward sum falls back to its starting value
+    each module. Ends once the net balance of EM outcomes falls back to 0
     after at least one full round. Returns whether `inc` improved."""
     start = inc.weight
     table = RewardTable()
+    balance = 0
     while True:
         run_module_a(state, deadline)
         inc.offer(state)
@@ -296,10 +290,12 @@ def composite_search(
         else:
             outcome = Outcome.NONE
         update_reward(table, module, outcome)
+        # A miss counts -1 here even at the reward floor (ROADMAP item 9).
+        balance += outcome.value
         if outcome is Outcome.NONE:
             run_module_b(state, deadline)
             inc.offer(state)
-        if table.sum_re <= table.initial or time.monotonic() >= deadline:
+        if balance <= 0 or time.monotonic() >= deadline:
             break
     return inc.weight > start
 

@@ -74,11 +74,7 @@ def perturb_solution(
     key = _score_key(state, strategy)
     forced: set[int] = set()
     for _ in range(num):
-        pool = state.non_cs
-        if len(pool) == 0:
-            break
-        sampled = pool.sample(rng, min(BMS_T, len(pool)))
-        candidates = [v for v in sampled if v not in forced]
+        candidates = [v for v in state.non_cs.sample(rng, BMS_T) if v not in forced]
         if not candidates:
             break
         v = min(candidates, key=key)

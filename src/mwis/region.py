@@ -134,8 +134,8 @@ def region_search(
     size_cap = max(10_000, g.n // 5)
 
     while c <= min(len(state.cs), budget) and pool and time.monotonic() < deadline:
-        pick = min(range(len(pool)), key=lambda i: (freq[pool[i]], pool[i]))
-        center = pool.pop(pick)
+        center = min(pool, key=lambda v: (freq[v], v))
+        pool.remove(center)
         c += 1
         region = build_local_graph(g, state.cs, center, radius, max_size=size_cap)
         local_state = SolutionState(region.graph, _greedy_by_weight(region.graph))

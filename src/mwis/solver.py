@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .construct import build_initial_solution, density_radius
+from .construct import DENSE_RADIUS, build_initial_solution, density_radius
 from .descent import adaptive_descent
 from .exchange import composite_search, composite_search_loop
 from .graph import Graph
@@ -79,7 +79,7 @@ def solve(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         state = SolutionState(kg, build_initial_solution(kg, radius))
         state.maximize()
         inc.offer(state)
-        if radius <= 2:
+        if radius <= DENSE_RADIUS:
             composite_search_loop(state, inc, rng, deadline)
         else:
             while time.monotonic() < deadline:

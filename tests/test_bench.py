@@ -76,6 +76,16 @@ class TestInstanceSpec:
         assert specs[1].seeds == [9]
         assert specs[0].name == "a"
 
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        assert InstanceSpec.from_dict({"path": "x.metis"}) == InstanceSpec("x.metis")
+
+    def test_seeds_from_defaults_are_copied_per_entry(self):
+        specs = load_bench_spec(
+            json.dumps({"defaults": {"seeds": [4, 5]}, "instances": [{"path": "a"}, {"path": "b"}]})
+        )
+        assert specs[0].seeds == specs[1].seeds == [4, 5]
+        assert specs[0].seeds is not specs[1].seeds
+
     def test_bare_list_spec(self):
         specs = load_bench_spec(json.dumps([{"path": "x.metis", "weights": "family-a"}]))
         assert specs[0].weight_mode == "family-a"

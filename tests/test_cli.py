@@ -119,6 +119,7 @@ class TestExactCommand:
         path.write_text("\n".join(lines) + "\n")
         code = main(["exact", str(path)])
         assert code == EXIT_CONFIG
+        assert "32" in capsys.readouterr().err  # the limit, from brute_force_mwis
 
 
 class TestBenchCommand:
@@ -158,6 +159,11 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""  # no CSV header
         assert "workers must be at least 1" in captured.err
+        rows = tmp_path / "rows.csv"
+        rows.write_bytes(b"old,row\n")
+        assert main(["bench", str(spec), "--csv", str(rows), "--workers", workers]) == EXIT_CONFIG
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert rows.read_bytes() == b"old,row\n"  # the earlier rows survive
 
     def test_bad_spec_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -215,33 +215,28 @@ class TestRewardTable:
     def test_initial_state(self):
         t = RewardTable()
         assert t.re == [1] * 6
-        assert t.sum_re == 6 == t.initial
 
     def test_new_best_reward(self):
         t = RewardTable()
         update_reward(t, 0, Outcome.NEW_BEST)
         assert t.re[0] == 4
-        assert t.sum_re == 9
 
     def test_floor_on_negative(self):
         t = RewardTable()
         update_reward(t, 2, Outcome.NONE)
         assert t.re[2] == 1  # floored
-        assert t.sum_re == 5  # counter still drops
 
     def test_alternating_rewards_return_to_start(self):
         t = RewardTable()
         update_reward(t, 1, Outcome.IMPROVED_CURRENT)
         update_reward(t, 1, Outcome.NONE)
         update_reward(t, 1, Outcome.NONE)
-        assert t.sum_re == 6
         assert t.re[1] == 1
 
     def test_improved_current(self):
         t = RewardTable()
         update_reward(t, 3, Outcome.IMPROVED_CURRENT)
         assert t.re[3] == 3
-        assert t.sum_re == 8
 
 
 class TestSelectModule:
@@ -292,6 +287,30 @@ class TestCompositeSearch:
             composite_search(s, inc, random.Random(55))
             outs.append(sorted(inc.best))
         assert outs[0] == outs[1]
+
+    def test_stops_when_outcome_balance_returns_to_zero(self, monkeypatch):
+        # One gain (+3) on module 0, then misses on module 1, which is already
+        # at its reward floor of 1: each miss still counts -1, so the search
+        # ends after the third miss although sum(re) stays above its start.
+        s = SolutionState(edgeless_graph([1] * 10), range(9))
+        inc = Incumbent(s.g, s.cs)
+        picks = iter([0])
+        em_calls = []
+
+        def em(state, module, deadline):
+            em_calls.append(module)
+            assert len(em_calls) <= 10, "composite_search did not stop"
+            if len(em_calls) == 1:
+                state.add_vertex(9)
+            return len(em_calls) == 1
+
+        monkeypatch.setattr("mwis.exchange.run_module_a", lambda state, deadline: False)
+        monkeypatch.setattr("mwis.exchange.run_module_b", lambda state, deadline: False)
+        monkeypatch.setattr("mwis.exchange.select_module", lambda table, rng: next(picks, 1))
+        monkeypatch.setattr("mwis.exchange.run_em_module", em)
+        assert composite_search(s, inc, random.Random(1))
+        assert em_calls == [EXCHANGE_MODULES[0]] + [EXCHANGE_MODULES[1]] * 3
+        assert inc.weight == 10
 
 
 class TestCompositeSearchLoop:
