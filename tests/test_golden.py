@@ -400,71 +400,71 @@ PASSES = {
 def replay_pass(key, name):
     """Run one pass to exhaustion from a random maximal solution. Returns the
     number of improving calls, the number of vertex moves, the final weight and
-    a SHA-256 of the solution in insertion order."""
+    a SHA-256 of the solution's sorted members."""
     seed, n, p = key
     g = random_graph(random.Random(seed), n, p)
     state = SolutionState(g, random_maximal_is(random.Random(seed), g))
     improving = 0
     while PASSES[name](state):
         improving += 1
-    digest = hashlib.sha256(repr(list(state.cs)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(sorted(state.cs)).encode()).hexdigest()
     return improving, sum(state.freq), state.cs_weight, digest
 
 
 GOLDEN_PASSES = {
     ((7, 300, 0.01), 'two_improvement'): (
-        10, 30, 15420, '4258374f75e4d290fc6611f395f13ee4f4010684caa97693a7d521f9133533a9',
+        10, 30, 15420, '9c34dddd848646df50178a8802c9c47cbb84cfe521c76646e4238b9f8195b33c',
     ),
     ((7, 300, 0.01), 'xy_1_1'): (
-        26, 117, 17515, '4dd279d6fa35fb18d882d5fc2b242e817e2bffe6fdefd7ab28c2c9f47ae8c2ef',
+        26, 117, 17515, '386be36621e09591df0746465712aa5e8d86a34a92c3271c613756f5ed080fc2',
     ),
     ((7, 300, 0.01), 'xy_1_2'): (
-        8, 57, 15778, '4a20a4b24522f228ae9609c606c3536ee017853091f6c23417c024b34ab75bb7',
+        8, 57, 15778, '5da05d0e7e82eebde5ccf33dfba24c95e6ed08db333b9f591353daaa7eb5fb79',
     ),
     ((7, 300, 0.01), 'xy_2_1'): (
-        8, 44, 15717, '3118782031a78457de43ae3712cd27a8117645b092eb08aaa0e850f0e7a3de42',
+        8, 44, 15717, '2fa899bbaa6b9f93d396913077c8db6916f033e5b6b9f7d83edd34cdacbbd288',
     ),
     ((7, 300, 0.01), 'xy_2_2'): (
-        3, 24, 15025, '8bd659f64c17367e9a47b5a41be4d03acf96f9d8644bf027e41c546278f9df73',
+        3, 24, 15025, '06fd4821d35a9912cd829ee666181c0ad28b9e858728073691097cbca56b0520',
     ),
     ((7, 300, 0.01), 'xy_3_1'): (
-        1, 6, 14645, 'b00b5a88decd9ec5d3676197f8e3e1a219ffbdaf02c6f393fa7a7206ddf0ba7d',
+        1, 6, 14645, 'f2823e98159fb8fd971ef96225c73d9a7443ddb8b89d2db62b85024d000956b2',
     ),
     ((7, 300, 0.01), 'xy_3_2'): (
-        1, 9, 14635, '670704d9032cba3575975aff11f812a7e78e36f5832126f2870627c61462d03e',
+        1, 9, 14635, 'e207b77b7db434c648fffa3428345716ecf918b3636cba6d37e07809acf2e79b',
     ),
     ((7, 300, 0.01), 'x0'): (
-        37, 90, 17380, 'b5cd832ec8e5e60954f28fdad9a881a98a6cbece4482085adc75c1b540a29b65',
+        37, 90, 17380, '5944ff0c64f84a8a3057ae2a3c6663a528f33f63b7cdf264247f03ba2c5f4ff5',
     ),
     ((7, 300, 0.01), 'two_three'): (
-        6, 34, 15884, '706785651a3c1ac1ce9406234ae8e9200f36c1336626a771dcf34fd305f42fe9',
+        6, 34, 15884, '5d19d8d2eea06e8254b75736f298e5329c7ba3d59d560b6bf85878125801b312',
     ),
     ((8, 400, 0.008), 'two_improvement'): (
-        16, 48, 19943, '999e85eef2a53a30c68c317f55310680e79291721fb74233eabee550c6399be2',
+        16, 48, 19943, '51de56947f647fff852968c4319806b57e92014b947da7fcb6c3942eddf66b92',
     ),
     ((8, 400, 0.008), 'xy_1_1'): (
-        15, 67, 19979, '9558f5017461f3fbc87e6a01c097712a6bb842e6257043b309c823a91a66f1c2',
+        15, 67, 19979, 'e2a077ec1b889565604742ce6d62f0f1ee633f947527a8544b15d1680f7164f5',
     ),
     ((8, 400, 0.008), 'xy_1_2'): (
-        8, 55, 19428, '189fc49ed3c191e3101d2e87f4bd0d2e169c77223fd6716407efae5e73fbda81',
+        8, 55, 19428, '910a0137bbb6d70d1cb4d2c7060ac4aef7d6edce41151c4a36bd9889074a18b2',
     ),
     ((8, 400, 0.008), 'xy_2_1'): (
-        5, 28, 19007, '6f6bea2ad024abe88b09425c862b793cbb359095b13f5bc793ab800e9c833556',
+        5, 28, 19007, 'dd12cb3127182357338e976587c2989285a136b0dc093ff4da6c4fef49ccfb80',
     ),
     ((8, 400, 0.008), 'xy_2_2'): (
-        2, 14, 17968, '2fb622008eb357debdca0836971995bc4e117ea386001bb84a9a515e42f1e97a',
+        2, 14, 17968, 'c543b217dc1d39602e95e0df5aff50ef0fe073580f49cedd3cdc311f8ff27fab',
     ),
     ((8, 400, 0.008), 'xy_3_1'): (
-        1, 7, 18134, 'a937c01af2f4495bc11ae5cd968ab9c1294c01d1d20515740939dd624d090450',
+        1, 7, 18134, '67961fcb71c70999af5a368a9ca2bdb00c6144e39b0c7ad7826159ef927c8a0c',
     ),
     ((8, 400, 0.008), 'xy_3_2'): (
-        0, 0, 17812, '2545f872afb19d4bd0436e33d79bbe0d9272a58d004e3f11355f94403a7dc03a',
+        0, 0, 17812, '77d30a6bcbd8ae89085960cdc4c6e9e03698367214696e09abaee2ea8351ceed',
     ),
     ((8, 400, 0.008), 'x0'): (
-        47, 115, 21332, 'a7eda26b0394d2aa5f72f9b6f12159ffa5b6f1c9344a6af083e3971b6b3b200c',
+        47, 115, 21332, '9fe269cf7d963128ba13e42b1fde8859a6330f2585fe0735fc256f20ceb07a2f',
     ),
     ((8, 400, 0.008), 'two_three'): (
-        8, 43, 19098, 'f59e1a4b11bae55ba402c05f999e7e4c450a04ba2b68ee0bce2d3232d3fb86b7',
+        8, 43, 19098, '8b46f9b2ccbd7f6f89f0897761b54d4a78aef73342832345aeb26a876f5ec9d0',
     ),
 }
 
