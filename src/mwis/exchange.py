@@ -56,7 +56,7 @@ def two_improvement_pass(state: SolutionState) -> bool:
     tightness = state.tightness
     for v in sorted(state.cs):
         wv = weights[v]
-        cand = [u for u in g.adjacency[v] if u not in state.cs and tightness[u] == 1]
+        cand = [u for u in g.adjacency[v] if tightness[u] == 1]
         if len(cand) < 2:
             continue
         for i in range(len(cand) - 1):
@@ -79,7 +79,7 @@ def _candidates(state: SolutionState, v: int, tau: int) -> list[int]:
     """Non-solution neighbors of v with the given tightness, heaviest first."""
     g = state.g
     tight = state.tightness
-    out = [u for u in g.adjacency[v] if u not in state.cs and tight[u] == tau]
+    out = [u for u in g.adjacency[v] if tight[u] == tau]
     out.sort(key=lambda u: (-g.weights[u], u))
     del out[CANDIDATE_CAP:]
     return out
@@ -135,7 +135,7 @@ def x0_exchange(state: SolutionState, v: int) -> bool:
     if v not in state.cs:
         raise ValueError(f"vertex {v} not in the solution")
     g = state.g
-    ones = [u for u in g.adjacency[v] if u not in state.cs and state.tightness[u] == 1]
+    ones = [u for u in g.adjacency[v] if state.tightness[u] == 1]
     ones.sort(key=lambda u: (-g.weights[u], u))
     chosen: list[int] = []
     for u in ones:
@@ -160,15 +160,15 @@ def two_three_pass(state: SolutionState) -> bool:
     cs = state.cs
     for u in sorted(cs):
         for w in g.adjacency[u]:
-            if w in cs or tight[w] != 2:
+            if tight[w] != 2:
                 continue
             v2 = next(c for c in g.adjacency[w] if c in cs and c != u)
             base = weights[u] + weights[v2]
             for a in g.adjacency[u]:
-                if a in cs or tight[a] != 1 or a == w or g.has_edge(a, w):
+                if tight[a] != 1 or g.has_edge(a, w):
                     continue
                 for b in g.adjacency[v2]:
-                    if b in cs or tight[b] != 1 or b == w or b == a:
+                    if tight[b] != 1:
                         continue
                     if weights[w] + weights[a] + weights[b] <= base:
                         continue

@@ -42,48 +42,34 @@ def build_local_graph(
     if radius < 1:
         raise ValueError("radius must be >= 1")
     adj = g.adjacency
-    dist = {center: 0}
-    levels: list[list[int]] = [[center]]
+    seen = {center}
+    frontier = [center]
     depth = 0
-    effective = radius
-    count = 1
-    while depth < effective + 1:
-        frontier = levels[depth]
-        if not frontier:
-            break
+    while frontier and depth <= radius:
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w not in dist:
-                    dist[w] = depth + 1
+                if w not in seen:
+                    seen.add(w)
                     nxt.append(w)
-        levels.append(nxt)
+        frontier = nxt
         depth += 1
-        if max_size is not None and depth <= effective:
-            count += len(nxt)
-            if count > max_size:
-                if depth >= 2:
-                    # Keep the just-built level as the exclusion boundary.
-                    effective = depth - 1
-                    break
-                effective = 1
+        if max_size is not None and depth <= radius and len(seen) > max_size:
+            # The level just built becomes the exclusion boundary.
+            radius = max(1, depth - 1)
 
-    boundary_next = levels[effective + 1] if len(levels) > effective + 1 else []
-    outside_solution = {w for w in boundary_next if w in cs}
-    members: list[int] = []
-    for lvl in range(min(effective, len(levels) - 1) + 1):
-        if lvl == effective and outside_solution:
-            for u in levels[lvl]:
-                if not any(w in outside_solution for w in adj[u]):
-                    members.append(u)
-        else:
-            members.extend(levels[lvl])
+    # `frontier` is now level radius + 1, or empty once BFS is exhausted.
+    drop = set(frontier)
+    for w in frontier:
+        if w in cs:
+            drop.update(adj[w])
+    members = seen - drop
 
     sub, old_to_new, new_to_old = induced_subgraph(g, members)
     return LocalGraph(
         graph=sub,
         to_global=new_to_old,
-        radius=effective,
+        radius=radius,
         solu1=[old_to_new[u] for u in new_to_old if u in cs],
     )
 

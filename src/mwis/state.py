@@ -134,10 +134,9 @@ class SolutionState:
         for u in g.adjacency[v]:
             self.tightness[u] -= 1
             self.nb_weight[u] -= wv
-            if self.tightness[u] == 0 and u not in self.cs:
+            if self.tightness[u] == 0:
                 self.free.add(u)
-        if self.tightness[v] == 0:
-            self.free.add(v)
+        self.free.add(v)
         self._visit(v, -1)
 
     def insert_with_removal(self, v: int) -> list[int]:
