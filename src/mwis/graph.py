@@ -5,9 +5,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 
-# The search keeps its solutions in insertion-ordered dicts; perfbench's
-# membership probe builds that container through this name.
-VertexSet = dict.fromkeys
+# The search keeps its solutions in plain sets; perfbench's membership probe
+# builds that container through this name.
+VertexSet = set
 
 
 class Graph:

@@ -58,6 +58,30 @@ def _score_key(state: SolutionState, strategy: ScoreStrategy):
     return lambda v: (state.loss(v), v)
 
 
+def sample_non_solution(state: SolutionState, k: int, rng: random.Random) -> list[int]:
+    """min(k, n - |S|) distinct non-solution vertices, drawn uniformly.
+
+    While non-solution vertices are at least half the graph, uniform vertex
+    draws that hit the solution or repeat are rejected, which takes about
+    k * n / (n - |S|) <= 2k draws when k is small against the complement.
+    Otherwise, or when at most k remain, the complement is listed in one O(n)
+    scan and sampled from.
+    """
+    n = state.g.n
+    cs = state.cs
+    rest = n - len(cs)
+    if rest <= k or 2 * rest < n:
+        outside = [v for v in range(n) if v not in cs]
+        return outside if rest <= k else rng.sample(outside, k)
+    picked: set[int] = set()
+    draw = rng.random
+    while len(picked) < k:
+        v = int(draw() * n)
+        if v not in cs:
+            picked.add(v)
+    return list(picked)
+
+
 def perturb_solution(
     state: SolutionState,
     strategy: ScoreStrategy,
@@ -66,15 +90,15 @@ def perturb_solution(
 ) -> None:
     """Force `num` vertices into the solution, then re-maximize.
 
-    Every insertion picks the best of min(BMS_T, pool) uniformly sampled
-    non-solution vertices under `strategy`. A vertex is forced at most once
-    per call; when no fresh candidate exists the pass ends early. A solution
-    covering the whole graph is left untouched.
+    Every insertion picks the best under `strategy` of min(BMS_T, n - |S|)
+    distinct non-solution vertices drawn by `sample_non_solution`. A vertex is
+    forced at most once per call; when no fresh candidate exists the pass ends
+    early. A solution covering the whole graph is left untouched.
     """
     key = _score_key(state, strategy)
     forced: set[int] = set()
     for _ in range(num):
-        candidates = [v for v in state.non_cs.sample(rng, BMS_T) if v not in forced]
+        candidates = [v for v in sample_non_solution(state, BMS_T, rng) if v not in forced]
         if not candidates:
             break
         v = min(candidates, key=key)

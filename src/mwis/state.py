@@ -9,44 +9,6 @@ from collections.abc import Iterable
 from .graph import Graph
 
 
-class _SamplePool:
-    """Indexable set over 0..n-1 with O(1) add/remove and uniform sampling."""
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self, n: int, members: Iterable[int]):
-        self._items: list[int] = []
-        self._pos: list[int] = [-1] * n
-        for v in members:
-            self.add(v)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, v: int) -> bool:
-        return self._pos[v] >= 0
-
-    def add(self, v: int) -> None:
-        if self._pos[v] < 0:
-            self._pos[v] = len(self._items)
-            self._items.append(v)
-
-    def discard(self, v: int) -> None:
-        i = self._pos[v]
-        if i < 0:
-            return
-        last = self._items.pop()
-        if last != v:
-            self._items[i] = last
-            self._pos[last] = i
-        self._pos[v] = -1
-
-    def sample(self, rng, k: int) -> list[int]:
-        if k >= len(self._items):
-            return list(self._items)
-        return rng.sample(self._items, k)
-
-
 class SolutionState:
     """Working independent set over a fixed graph with incremental tightness,
     loss and free-vertex maintenance plus the per-vertex search statistics
@@ -69,24 +31,18 @@ class SolutionState:
 
     def _rebuild(self, members: list[int]) -> None:
         """Set the solution to `members` (already checked independent) and
-        recompute its weight, tightness, neighbor weights and vertex pools."""
+        recompute its weight, tightness, neighbor weights and free vertices."""
         g = self.g
-        # Insertion-ordered: copies of it come back as `members` through
-        # reset_solution(best), and members leave the swap-remove sampling
-        # pool in their order, which fixes what its seeded draws return.
-        self.cs: dict[int, None] = dict.fromkeys(members)
+        self.cs = set(members)
         self.cs_weight = g.set_weight(self.cs)
         self.tightness = [0] * g.n
         # Weight of solution neighbors; loss(v) = nb_weight[v] - weight[v].
         self.nb_weight = [0] * g.n
-        self.non_cs = _SamplePool(g.n, range(g.n))
         for v in self.cs:
-            self.non_cs.discard(v)
             wv = g.weights[v]
             for u in g.adjacency[v]:
                 self.tightness[u] += 1
                 self.nb_weight[u] += wv
-        # Order-free: only probed, sized, and heapified under unique keys.
         self.free = {v for v in range(g.n) if v not in self.cs and self.tightness[v] == 0}
 
     # -- derived quantities --------------------------------------------------
@@ -111,9 +67,8 @@ class SolutionState:
         if self.tightness[v] != 0:
             raise ValueError(f"vertex {v} is not free (tightness {self.tightness[v]})")
         g = self.g
-        self.cs[v] = None
+        self.cs.add(v)
         self.cs_weight += g.weights[v]
-        self.non_cs.discard(v)
         self.free.discard(v)
         wv = g.weights[v]
         for u in g.adjacency[v]:
@@ -127,9 +82,8 @@ class SolutionState:
         if v not in self.cs:
             raise ValueError(f"vertex {v} not in the solution")
         g = self.g
-        del self.cs[v]
+        self.cs.remove(v)
         self.cs_weight -= g.weights[v]
-        self.non_cs.add(v)
         wv = g.weights[v]
         for u in g.adjacency[v]:
             self.tightness[u] -= 1
@@ -187,7 +141,7 @@ class SolutionState:
     def check_invariants(self) -> None:
         """Recompute every derived field from the solution and compare. Test hook."""
         g = self.g
-        members = set(self.cs)
+        members = self.cs
         if not g.is_independent(members):
             raise AssertionError("solution is not independent")
         if self.cs_weight != sum(g.weights[v] for v in members):
@@ -202,22 +156,18 @@ class SolutionState:
             should_be_free = v not in members and t == 0
             if (v in self.free) != should_be_free:
                 raise AssertionError(f"free pool wrong for {v}")
-            if (v in self.non_cs) != (v not in members):
-                raise AssertionError(f"complement pool wrong for {v}")
 
 
 class Incumbent:
     """The best solution seen so far, shared by every search routine of a solve.
 
-    `best` is insertion-ordered: `reset_solution(inc.best)` hands that order to
-    the working solution, where it fixes what the seeded sampling draws return.
     `on_improve(weight)` hears every new best, at the moment it is banked.
     """
 
     __slots__ = ("best", "weight", "on_improve")
 
     def __init__(self, g: Graph, members: Iterable[int] = (), on_improve=None):
-        self.best: dict[int, None] = dict.fromkeys(members)
+        self.best = set(members)
         self.weight = g.set_weight(self.best)
         self.on_improve = on_improve
 

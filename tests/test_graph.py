@@ -85,7 +85,7 @@ class TestInducedSubgraph:
                 assert sub.adjacency[new] == sorted(sub.adjacency[new])
 
 
-def test_vertexset_is_an_insertion_ordered_dict():
+def test_vertexset_builds_a_set():
     s = VertexSet([5, 1, 3, 1])
-    assert type(s) is dict
-    assert list(s) == [5, 1, 3]
+    assert type(s) is set
+    assert s == {1, 3, 5}

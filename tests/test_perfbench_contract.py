@@ -60,8 +60,16 @@ def test_root_exports_used_by_perfbench(spans):
 
     assert all(callable(f) for f in (assign_weights_family_b, build_graph, reduce_graph, to_metis))
     assert SolverConfig(time_limit=1.0, seed=1).seed == 1
-    assert list(VertexSet(range(0, 6, 2))) == [0, 2, 4]
+    assert sorted(VertexSet(range(0, 6, 2))) == [0, 2, 4]
     assert spans.vertexset_contains_ns(reps=1, lookups=2000) > 0
+
+
+def test_vertexset_probe_times_the_search_container():
+    """`graph.vertexset_contains_ns` times `v in VertexSet(...)`, so the alias
+    must build the container the search keeps its solution in."""
+    from mwis import SolutionState, VertexSet, build_graph
+
+    assert type(VertexSet([0])) is type(SolutionState(build_graph(1, [], [1])).cs)
 
 
 def test_untraced_worker_solves_a_tiny_file(tmp_path):

@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from mwis import SolutionState, perturb_solution, sample_insertion_count
-from mwis.perturb import ScoreStrategy, pick_strategy
+from mwis import SolutionState, build_graph, perturb_solution, sample_insertion_count
+from mwis.perturb import BMS_T, ScoreStrategy, pick_strategy, sample_non_solution
 
-from util import edgeless_graph, p3_151, random_graph
+from util import edgeless_graph, p3_151, random_graph, random_maximal_is
 
 
 class TestSampleInsertionCount:
@@ -44,6 +44,65 @@ class TestPickStrategy:
         assert a == b
         rng1, rng2 = random.Random(8), random.Random(8)
         assert [pick_strategy(rng1) for _ in range(200)] == [pick_strategy(rng2) for _ in range(200)]
+
+
+class _NoSample(random.Random):
+    """A generator whose `sample` must not be called: only vertex draws."""
+
+    def sample(self, population, k, **kwargs):
+        raise AssertionError("sample() called on the rejection branch")
+
+
+def _p3_paths(count: int) -> SolutionState:
+    """`count` disjoint 3-vertex paths with both ends in the solution, so a
+    third of the graph lies outside it."""
+    edges = [e for i in range(count) for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2))]
+    g = build_graph(3 * count, edges, [1] * (3 * count))
+    return SolutionState(g, [v for v in range(3 * count) if v % 3 != 1])
+
+
+def _inclusion_rates(state: SolutionState, k: int, rng: random.Random, trials: int) -> dict:
+    counts = Counter()
+    for _ in range(trials):
+        counts.update(sample_non_solution(state, k, rng))
+    return {v: c / trials for v, c in counts.items()}
+
+
+class TestSampleNonSolution:
+    def test_distinct_non_solution_vertices(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 120), rng.choice([0.02, 0.1, 0.4]))
+            s = SolutionState(g, random_maximal_is(rng, g))
+            for v in list(s.cs)[: rng.randint(0, len(s.cs))]:
+                s.remove_vertex(v)
+            k = rng.choice([1, 5, BMS_T])
+            drawn = sample_non_solution(s, k, rng)
+            assert len(drawn) == len(set(drawn)) == min(k, g.n - len(s.cs))
+            assert not any(v in s.cs for v in drawn)
+
+    def test_rejection_branch_is_uniform(self):
+        # 150 of 200 vertices lie outside the solution: draws are rejected
+        s = SolutionState(edgeless_graph([1] * 200), range(50))
+        rates = _inclusion_rates(s, 50, _NoSample(22), 40_000)
+        assert set(rates) == set(range(50, 200))
+        assert all(abs(r - 50 / 150) <= 0.01 for r in rates.values())
+
+    def test_scan_branch_is_uniform(self):
+        s = _p3_paths(150)
+        rates = _inclusion_rates(s, 50, random.Random(23), 40_000)
+        assert set(rates) == set(range(1, 450, 3))
+        assert all(abs(r - 50 / 150) <= 0.01 for r in rates.values())
+
+    def test_small_complement_is_returned_whole(self):
+        s = _p3_paths(BMS_T)
+        assert sorted(sample_non_solution(s, BMS_T, _NoSample(24))) == list(range(1, 3 * BMS_T, 3))
+        s = SolutionState(edgeless_graph([1] * 100), range(60))
+        assert sorted(sample_non_solution(s, BMS_T, _NoSample(25))) == list(range(60, 100))
+
+    def test_covered_graph_gives_nothing(self):
+        s = SolutionState(edgeless_graph([1] * 5), range(5))
+        assert sample_non_solution(s, BMS_T, _NoSample(26)) == []
 
 
 class TestPerturbSolution:

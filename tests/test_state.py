@@ -229,9 +229,10 @@ def test_randomized_operations_stay_consistent():
 
 
 class TestIncumbent:
-    def test_starts_from_members_in_order(self):
+    def test_starts_from_members_set_and_weight(self):
         inc = Incumbent(p3_151(), [2, 0])
-        assert list(inc.best) == [2, 0]
+        assert type(inc.best) is set
+        assert inc.best == {0, 2}
         assert inc.weight == 2
 
     def test_offer_banks_only_strictly_heavier(self):
