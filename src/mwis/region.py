@@ -105,10 +105,12 @@ def region_search(
 
     Examines one budget segment of centers (a hundredth of the solution, at
     least one); each fully fruitless segment extends the budget by another
-    segment. `on_improve(weight)` hears the new weight once per splice, after
-    `inc` has banked it; it is kept apart from `inc.on_improve` so that a
-    caller can count splices alone. `stats_out` receives the number of centers
-    examined and the final budget. Returns whether any splice happened.
+    segment. A center that an earlier splice removed from the solution is
+    skipped and not counted. `on_improve(weight)` hears the new weight once
+    per splice, after `inc` has banked it; it is kept apart from
+    `inc.on_improve` so that a caller can count splices alone. `stats_out`
+    receives the number of centers examined and the final budget. Returns
+    whether any splice happened.
     """
     g = state.g
     spliced = False
@@ -122,6 +124,8 @@ def region_search(
     while c <= min(len(state.cs), budget) and pool and time.monotonic() < deadline:
         center = min(pool, key=lambda v: (freq[v], v))
         pool.remove(center)
+        if center not in state.cs:
+            continue  # an earlier splice removed it from the solution
         c += 1
         region = build_local_graph(g, state.cs, center, radius, max_size=size_cap)
         local_state = SolutionState(region.graph, _greedy_by_weight(region.graph))

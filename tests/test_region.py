@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mwis.region
 from mwis import Incumbent, SolutionState, build_graph, build_local_graph, region_search
 
 from util import edgeless_graph, path_graph, random_graph, random_maximal_is
@@ -134,3 +135,31 @@ class TestRegionSearch:
             s.check_invariants()
             assert g.is_independent(inc.best)
             assert s.cs == inc.best or not improved
+
+    def test_skips_centres_an_earlier_splice_removed(self, monkeypatch):
+        # P5 with solution {0, 2, 4}: the region around 0 holds 2, and 4 is
+        # visited more often than 2 even after a splice removes 2. A stub
+        # descent splices 2 out, so the next region must centre on 4, and 2
+        # is not counted as a centre.
+        g = path_graph([1] * 5)
+        s = SolutionState(g, [0, 2, 4])
+        s.freq[4] = 5
+        real_build = mwis.region.build_local_graph
+        regions = []
+
+        def record(g, cs, center, radius, max_size=None):
+            regions.append((center, real_build(g, cs, center, radius, max_size)))
+            return regions[-1][1]
+
+        def drop_vertex_2(local_state, local, depth, rng, deadline):
+            to_global = regions[-1][1].to_global
+            local.best = {u for u in local.best if to_global[u] != 2}
+            return True
+
+        monkeypatch.setattr(mwis.region, "build_local_graph", record)
+        monkeypatch.setattr(mwis.region, "adaptive_descent", drop_vertex_2)
+        stats: dict = {}
+        region_search(s, Incumbent(g, s.cs), 2, 10, random.Random(1), stats_out=stats)
+        assert s.cs == {0, 4}
+        assert [center for center, _ in regions] == [0, 4]
+        assert stats["centers"] == 2
