@@ -62,10 +62,10 @@ def sample_non_solution(state: SolutionState, k: int, rng: random.Random) -> lis
     """min(k, n - |S|) distinct non-solution vertices, drawn uniformly.
 
     While non-solution vertices are at least half the graph, uniform vertex
-    draws that hit the solution or repeat are rejected, which takes about
-    k * n / (n - |S|) <= 2k draws when k is small against the complement.
-    Otherwise, or when at most k remain, the complement is listed in one O(n)
-    scan and sampled from.
+    draws that hit the solution or repeat are rejected: about k * n / (n - |S|)
+    <= 2k draws when k is small against the complement. Otherwise, or when at
+    most k remain, one O(n) scan lists the complement to sample from, the cost
+    of the omega pass that every search round runs in module A.
     """
     n = state.g.n
     cs = state.cs
