@@ -310,5 +310,5 @@ def composite_search_loop(
         state.tick(improved)
         if not improved:
             strategy = pick_strategy(rng)
-            num = sample_insertion_count(1, rng)  # floor fixed at its lowest value
+            num = sample_insertion_count(1, rng)
             perturb_solution(state, strategy, num, rng)

@@ -28,16 +28,16 @@ STRATEGIES: tuple[ScoreStrategy, ...] = tuple(ScoreStrategy)
 BMS_T = 50  # candidates sampled per forced insertion
 
 
-def sample_insertion_count(base_num: int, rng: random.Random) -> int:
-    """base_num plus a geometric bonus: the bonus is i+1 with probability 2^-i.
+def sample_insertion_count(floor: int, rng: random.Random) -> int:
+    """floor plus a geometric bonus: the bonus is i+1 with probability 2^-i.
 
     Counting fair-coin successes gives exactly that law; the expected total
-    is base_num + 3 and the minimum base_num + 2.
+    is floor + 3 and the minimum floor + 2.
     """
     i = 1
     while rng.random() < 0.5:
         i += 1
-    return base_num + i + 1
+    return floor + i + 1
 
 
 def pick_strategy(rng: random.Random) -> ScoreStrategy:

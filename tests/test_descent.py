@@ -5,7 +5,7 @@ import pytest
 
 from mwis import Incumbent, SolutionState, adaptive_descent, brute_force_mwis
 
-from util import p3_151, random_gnm_graph, random_graph
+from util import edgeless_graph, p3_151, random_gnm_graph, random_graph
 
 
 def test_path_descends_to_optimum():
@@ -115,3 +115,23 @@ def test_interrupt_keeps_the_banked_best(monkeypatch):
     assert inc.weight == seen[-1]
     assert inc.weight == g.set_weight(inc.best)
     assert g.is_independent(inc.best)
+
+
+def test_every_round_perturbs_from_the_lowest_floor(monkeypatch):
+    # An edgeless graph fully in the solution cannot improve, so every round
+    # is stagnant; the floor stays at 1 however long the stagnation lasts.
+    import mwis.descent
+
+    floors: list[int] = []
+    real = mwis.descent.sample_insertion_count
+
+    def recording(floor, rng):
+        floors.append(floor)
+        return real(floor, rng)
+
+    monkeypatch.setattr(mwis.descent, "sample_insertion_count", recording)
+    g = edgeless_graph([1] * 10)
+    s = SolutionState(g, range(10))
+    assert not adaptive_descent(s, Incumbent(g, s.cs), 400, random.Random(1))
+    assert len(floors) >= 300
+    assert set(floors) == {1}

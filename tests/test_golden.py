@@ -78,17 +78,17 @@ def replay_from_construction(key, reset=False):
 
 
 GOLDEN = {
-    ((1, 20, 0.3), 'descent_global'): (3001, 97118, [0, 5, 6, 13, 15, 16, 19]),
+    ((1, 20, 0.3), 'descent_global'): (3001, 57326, [0, 5, 6, 13, 15, 16, 19]),
     ((1, 20, 0.3), 'descent_40'): (41, 740, [0, 5, 6, 13, 15, 16, 19]),
     ((1, 20, 0.3), 'composite'): (0, 8, [0, 5, 6, 13, 15, 16, 19]),
     ((1, 20, 0.3), 'region_10'): (0, 8, [0, 5, 6, 13, 15, 16, 19]),
-    ((2, 40, 0.5), 'descent_global'): (3029, 93862, [13, 19, 21, 22, 23, 26]),
+    ((2, 40, 0.5), 'descent_global'): (3029, 55670, [13, 19, 21, 22, 23, 26]),
     ((2, 40, 0.5), 'descent_40'): (69, 1208, [13, 19, 21, 22, 23, 26]),
     ((2, 40, 0.5), 'composite'): (0, 20, [1, 2, 4, 10, 14, 29]),
     ((2, 40, 0.5), 'region_10'): (0, 8, [13, 19, 21, 22, 23, 26]),
     ((3, 80, 0.05), 'descent_global'): (
         3001,
-        166371,
+        76985,
         [
             2, 3, 5, 8, 9, 10, 16, 17, 18, 21, 22, 23, 27, 28, 29, 31, 32, 34, 37, 38, 39, 40, 42,
             46, 53, 54, 55, 60, 64, 65, 66, 68, 73, 74, 76, 77,
@@ -120,7 +120,7 @@ GOLDEN = {
     ),
     ((4, 120, 0.2), 'descent_global'): (
         3006,
-        163748,
+        106165,
         [
             3, 13, 16, 24, 37, 42, 50, 56, 59, 62, 69, 76, 82, 88, 89, 92, 110, 112, 113, 117, 118,
         ],
@@ -148,7 +148,7 @@ GOLDEN = {
     ),
     ((5, 200, 0.03), 'descent_global'): (
         3054,
-        225718,
+        102328,
         [
             4, 5, 7, 8, 10, 11, 12, 13, 14, 15, 19, 20, 24, 26, 29, 30, 34, 40, 42, 43, 47, 49, 52,
             55, 57, 58, 61, 62, 63, 72, 76, 79, 80, 82, 86, 90, 93, 94, 95, 96, 97, 99, 101, 103,
@@ -187,8 +187,8 @@ GOLDEN = {
         ],
     ),
     ((6, 200, 0.3), 'descent_global'): (
-        3229,
-        165220,
+        3297,
+        121249,
         [
             10, 18, 21, 46, 68, 70, 140, 150, 160, 172, 178, 180, 184, 186, 192, 199,
         ],
