@@ -42,7 +42,7 @@ def density_radius(g: Graph) -> int:
     power = 1  # (2m)^L
     n_pow = n  # n^(L+1)
     level = 0
-    while level < _EXACT_TERMS:
+    while level < min(_EXACT_TERMS, n):
         level += 1
         power *= two_m
         partial = partial * n + power

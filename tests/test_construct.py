@@ -43,6 +43,13 @@ class TestDensityRadius:
         g = edgeless_graph([1] * 50)
         assert density_radius(g) == 50
 
+    def test_degenerate_series_below_exact_terms_capped_at_n(self):
+        # n - 2m = 10 with n < 64: the series never reaches n/10 and no level
+        # up to n qualifies, so the result is n, not the exact loop's length.
+        assert density_radius(build_graph(12, [(0, 1)], [1] * 12)) == 12
+        edges = [(2 * i, 2 * i + 1) for i in range(24)]
+        assert density_radius(build_graph(58, edges, [1] * 58)) == 58
+
     def test_tiny_edgeless_is_zero(self):
         assert density_radius(edgeless_graph([1] * 10)) == 0
 
