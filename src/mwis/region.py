@@ -74,18 +74,12 @@ def build_local_graph(
     )
 
 
-def _greedy_by_weight(g: Graph) -> list[int]:
-    order = sorted(range(g.n), key=lambda v: (-g.weights[v], v))
-    blocked = [False] * g.n
-    chosen: list[int] = []
-    for v in order:
-        if blocked[v]:
-            continue
-        chosen.append(v)
-        blocked[v] = True
-        for u in g.adjacency[v]:
-            blocked[u] = True
-    return chosen
+def _greedy_by_weight(g: Graph) -> set[int]:
+    """The maximal independent set that `SolutionState.maximize` builds from
+    an empty solution: heaviest free vertex first, ties by id."""
+    state = SolutionState(g)
+    state.maximize()
+    return state.cs
 
 
 def region_search(

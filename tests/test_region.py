@@ -74,6 +74,14 @@ class TestBuildLocalGraph:
             assert set(region.to_global) == ball - excluded
 
 
+def test_greedy_by_weight_takes_heaviest_free_vertex_first():
+    # Path 0-1-2-3-4 weighted 3, 5, 4, 1, 2: 1 blocks 0 and 2, then 4 blocks 3.
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [3, 5, 4, 1, 2])
+    assert mwis.region._greedy_by_weight(g) == {1, 4}
+    # Equal weights fall to the smaller id: 0 blocks 1, then 2 is free.
+    assert mwis.region._greedy_by_weight(path_graph([2, 2, 2])) == {0, 2}
+
+
 class TestRegionSearch:
     def _state_with(self, g, members):
         s = SolutionState(g, members)
